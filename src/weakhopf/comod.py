@@ -37,19 +37,35 @@ def coaction_verdict(h: WeakBialgebra, dim: int, coaction: Matrix) -> Verdict:
     Checks, exactly: coassociativity, the counit law, and the counital
     identity eps_s'(m_(1)) . m_(0) = m = m_(0) . eps_s(m_(1)).
     """
+    return _coaction_nz_verdict(h, dim, _coaction_nonzeros(h, dim, coaction))
+
+
+def _coaction_nonzeros(h: WeakBialgebra, dim: int, coaction: Matrix) -> tuple:
+    """Per column i, the nonzero entries ((a, j), c) of rho(m_i), by row index."""
     n = h.dim
-    field = h.field
-    if coaction.field != field:
+    if coaction.field != h.field:
         raise MalformedInput("coaction over the wrong field")
     if coaction.rows != dim * n or coaction.cols != dim:
         raise MalformedInput(
             f"coaction must be {dim * n}x{dim}, got {coaction.rows}x{coaction.cols}"
         )
+    nz = [[] for _ in range(dim)]
+    for idx, row in enumerate(coaction.entries):
+        aj = None
+        for i, c in enumerate(row):
+            if c:
+                if aj is None:
+                    aj = divmod(idx, n)
+                nz[i].append((aj, c))
+    return tuple(tuple(col) for col in nz)
+
+
+def _coaction_nz_verdict(h: WeakBialgebra, dim: int, nz) -> Verdict:
+    """The comodule axioms of `coaction_verdict`, on the coaction's nonzeros."""
+    field = h.field
+    z, one = field.zero, field.one
+    delta_nz = h.comult_nz()
     violations = []
-    cols = [coaction.col(i) for i in range(dim)]
-    nz = [
-        [(divmod(idx, n), c) for idx, c in enumerate(col) if c] for col in cols
-    ]
     # coassociativity: (rho (x) id) rho = (id (x) Delta) rho
     for i in range(dim):
         lhs = {}
@@ -57,14 +73,10 @@ def coaction_verdict(h: WeakBialgebra, dim: int, coaction: Matrix) -> Verdict:
         for (a, j), c in nz[i]:
             for (a2, j2), c2 in nz[a]:
                 key = (a2, j2, j)
-                lhs[key] = lhs.get(key, field.zero) + c * c2
-            for j2 in range(n):
-                row = h.comult[j][j2]
-                for k2 in range(n):
-                    d = row[k2]
-                    if d:
-                        key = (a, j2, k2)
-                        rhs[key] = rhs.get(key, field.zero) + c * d
+                lhs[key] = lhs.get(key, z) + c * c2
+            for j2, k2, d in delta_nz[j]:
+                key = (a, j2, k2)
+                rhs[key] = rhs.get(key, z) + c * d
         lhs = {k: v for k, v in lhs.items() if v}
         rhs = {k: v for k, v in rhs.items() if v}
         if lhs != rhs:
@@ -78,40 +90,43 @@ def coaction_verdict(h: WeakBialgebra, dim: int, coaction: Matrix) -> Verdict:
         for (a, j), c in nz[i]:
             if eps[j]:
                 acc[a] = acc[a] + c * eps[j]
-        if tuple(acc) != vec_unit(field, dim, i):
+        if not _is_unit_vector(acc, i, one):
             violations.append(
                 Violation("comodule counit", (i,), tuple(acc), vec_unit(field, dim, i))
             )
     if violations:
         return Verdict(tuple(violations))
     # 2.5(3)(iii) via the double expansion (coassociativity already holds)
-    etable = h.eps_pair_table()
-    esp = h.eps_s_prime
-    ess = h.eps_s
+    left_pairs, right_pairs = h.counital_pair_tables()
     for i in range(dim):
-        left = list(vec_zero(field, dim))
-        right = list(vec_zero(field, dim))
+        left = [z] * dim
+        right = [z] * dim
         for (a, j), c in nz[i]:
+            lp = left_pairs[j]
+            rp = right_pairs[j]
             for (a2, j1), c2 in nz[a]:
-                cc = c * c2
-                es = field.zero
-                for cidx, coef in enumerate(esp.col(j)):
-                    if coef and etable[cidx][j1]:
-                        es = es + coef * etable[cidx][j1]
-                if es:
-                    left[a2] = left[a2] + cc * es
-                er = field.zero
-                for cidx, coef in enumerate(ess.col(j)):
-                    if coef and etable[j1][cidx]:
-                        er = er + coef * etable[j1][cidx]
-                if er:
-                    right[a2] = right[a2] + cc * er
-        e_i = vec_unit(field, dim, i)
-        if tuple(left) != e_i:
-            violations.append(Violation("2.5(3)(iii) left", (i,), tuple(left), e_i))
-        if tuple(right) != e_i:
-            violations.append(Violation("2.5(3)(iii) right", (i,), tuple(right), e_i))
+                es = lp[j1]
+                er = rp[j1]
+                if es or er:
+                    cc = c * c2
+                    if es:
+                        left[a2] = left[a2] + cc * es
+                    if er:
+                        right[a2] = right[a2] + cc * er
+        if not _is_unit_vector(left, i, one):
+            violations.append(
+                Violation("2.5(3)(iii) left", (i,), tuple(left), vec_unit(field, dim, i))
+            )
+        if not _is_unit_vector(right, i, one):
+            violations.append(
+                Violation("2.5(3)(iii) right", (i,), tuple(right), vec_unit(field, dim, i))
+            )
     return Verdict(tuple(violations))
+
+
+def _is_unit_vector(vec, i, one) -> bool:
+    """vec is the i-th standard basis vector."""
+    return vec[i] == one and not any(vec[:i]) and not any(vec[i + 1:])
 
 
 class Comodule:
@@ -120,41 +135,30 @@ class Comodule:
     __slots__ = ("over", "dim", "coaction", "left_act", "right_act", "_nz")
 
     def __init__(self, over: WeakBialgebra, dim: int, coaction: Matrix):
-        verdict = coaction_verdict(over, dim, coaction)
+        nz = _coaction_nonzeros(over, dim, coaction)
+        verdict = _coaction_nz_verdict(over, dim, nz)
         if not verdict.ok:
             raise AxiomViolation(verdict, "comodule axioms")
         object.__setattr__(self, "over", over)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "coaction", coaction)
-        n = over.dim
-        cols = [coaction.col(i) for i in range(dim)]
-        nz = tuple(
-            tuple((divmod(idx, n), c) for idx, c in enumerate(col) if c) for col in cols
-        )
         object.__setattr__(self, "_nz", nz)
-        etable = over.eps_pair_table()
-        field = over.field
+        z = over.field.zero
         left = []
         right = []
-        for y in over.hs.basis:
-            lm = [[field.zero] * dim for _ in range(dim)]
-            rm = [[field.zero] * dim for _ in range(dim)]
+        for y_left, y_right in over.source_eps_rows():
+            lm = [[z] * dim for _ in range(dim)]
+            rm = [[z] * dim for _ in range(dim)]
             for b in range(dim):
                 for (a, j), c in nz[b]:
-                    el = field.zero
-                    er = field.zero
-                    for cidx, coef in enumerate(y):
-                        if coef:
-                            if etable[cidx][j]:
-                                el = el + coef * etable[cidx][j]
-                            if etable[j][cidx]:
-                                er = er + coef * etable[j][cidx]
+                    el = y_left[j]
                     if el:
                         lm[a][b] = lm[a][b] + c * el
+                    er = y_right[j]
                     if er:
                         rm[a][b] = rm[a][b] + c * er
-            left.append(Matrix._raw(field, lm, dim))
-            right.append(Matrix._raw(field, rm, dim))
+            left.append(Matrix._raw(over.field, lm, dim))
+            right.append(Matrix._raw(over.field, rm, dim))
         object.__setattr__(self, "left_act", tuple(left))
         object.__setattr__(self, "right_act", tuple(right))
 
@@ -233,22 +237,20 @@ def comodule_map_verdict(source: Comodule, target: Comodule, matrix: Matrix) -> 
     h = source.over
     n = h.dim
     field = h.field
+    z = field.zero
+    fcols = _nonzero_columns(matrix)
     violations = []
     for i in range(source.dim):
         lhs = {}
-        fcol = matrix.col(i)
-        for b, fc in enumerate(fcol):
-            if not fc:
-                continue
+        for b, fc in fcols[i]:
             for (a, j), c in target.coact_nonzeros(b):
                 key = (a, j)
-                lhs[key] = lhs.get(key, field.zero) + fc * c
+                lhs[key] = lhs.get(key, z) + fc * c
         rhs = {}
         for (a, j), c in source.coact_nonzeros(i):
-            for b, fc in enumerate(matrix.col(a)):
-                if fc:
-                    key = (b, j)
-                    rhs[key] = rhs.get(key, field.zero) + c * fc
+            for b, fc in fcols[a]:
+                key = (b, j)
+                rhs[key] = rhs.get(key, z) + c * fc
         lhs = {k: v for k, v in lhs.items() if v}
         rhs = {k: v for k, v in rhs.items() if v}
         if lhs != rhs:
@@ -327,65 +329,64 @@ class TensorComodule(Comodule):
         h = left.over
         n = h.dim
         field = h.field
+        z = field.zero
         m, p = left.dim, right.dim
         amb = m * p
-        gens = set()
-        for r in range(h.hs.dim):
-            rm = left.right_act[r]
-            ln = right.left_act[r]
+        gens = {}
+        for rm, ln in zip(left.right_act, right.left_act):
+            rcols = _nonzero_columns(rm)
+            lcols = _nonzero_columns(ln)
             for a in range(m):
-                rcol = rm.col(a)
                 for b in range(p):
-                    lcol = ln.col(b)
-                    w = [field.zero] * amb
-                    for a2, cc in enumerate(rcol):
-                        if cc:
-                            w[a2 * p + b] = w[a2 * p + b] + cc
-                    for b2, cc in enumerate(lcol):
-                        if cc:
-                            w[a * p + b2] = w[a * p + b2] - cc
-                    if any(w):
-                        gens.add(tuple(w))
-        relators = Subspace(field, amb, list(gens), assume_canonical=True)
+                    w = {}
+                    for a2, cc in rcols[a]:
+                        w[a2 * p + b] = w.get(a2 * p + b, z) + cc
+                    for b2, cc in lcols[b]:
+                        w[a * p + b2] = w.get(a * p + b2, z) - cc
+                    key = tuple(sorted((k, v) for k, v in w.items() if v))
+                    if key:
+                        gens[key] = None
+        dense = []
+        for key in gens:
+            w = [z] * amb
+            for k, v in key:
+                w[k] = v
+            dense.append(tuple(w))
+        relators = Subspace(field, amb, dense, assume_canonical=True)
         reps, projection, section = quotient_basis(amb, relators)
         t = len(reps)
+        proj_cols = _nonzero_columns(projection)
+        mu_nz = h.mult_nz()
+        left_nz, right_nz = left._nz, right._nz
 
-        def big_coaction(vec):
-            """rho_{M (x) N} of a vector in M (x) N, as {(pair, l): coef}."""
+        def big_coaction(vec_nz):
+            """rho_{M (x) N} of a vector in M (x) N given by its nonzeros, as {(pair, l): coef}."""
             out = {}
-            for ab, x in enumerate(vec):
-                if not x:
-                    continue
+            for ab, x in vec_nz:
                 a, b = divmod(ab, p)
-                for (a2, j), c1 in left.coact_nonzeros(a):
-                    for (b2, k), c2 in right.coact_nonzeros(b):
-                        cc = x * c1 * c2
+                for (a2, j), c1 in left_nz[a]:
+                    xc1 = x * c1
+                    for (b2, k), c2 in right_nz[b]:
+                        cc = xc1 * c2
                         base = a2 * p + b2
-                        for l, mu in enumerate(h.mult[j][k]):
-                            if mu:
-                                key = (base, l)
-                                out[key] = out.get(key, field.zero) + cc * mu
+                        for l, mu in mu_nz[j][k]:
+                            key = (base, l)
+                            out[key] = out.get(key, z) + cc * mu
             return {k: v for k, v in out.items() if v}
 
         # descent: the coaction must map relators into relators (x) H
         for v in relators.basis:
-            for (pair, l), coef in big_coaction(v).items():
-                for q in range(t):
-                    pc = projection.entries[q][pair]
-                    if pc and pc * coef:
+            for (pair, l), coef in big_coaction([(ab, x) for ab, x in enumerate(v) if x]).items():
+                for _, pc in proj_cols[pair]:
+                    if pc * coef:
                         raise InternalInconsistency(
                             "tensor coaction does not descend to the quotient"
                         )
-        z = field.zero
         rows = [[z] * t for _ in range(t * n)]
         for q, f in enumerate(reps):
-            e = [z] * amb
-            e[f] = field.one
-            for (pair, l), coef in big_coaction(e).items():
-                for q2 in range(t):
-                    pc = projection.entries[q2][pair]
-                    if pc:
-                        rows[q2 * n + l][q] = rows[q2 * n + l][q] + pc * coef
+            for (pair, l), coef in big_coaction([(f, field.one)]).items():
+                for q2, pc in proj_cols[pair]:
+                    rows[q2 * n + l][q] = rows[q2 * n + l][q] + pc * coef
         coaction = Matrix._raw(field, rows, t)
         object.__setattr__(self, "factors", (left, right))
         object.__setattr__(self, "relators", relators)
@@ -393,6 +394,16 @@ class TensorComodule(Comodule):
         object.__setattr__(self, "projection", projection)
         object.__setattr__(self, "section", section)
         super().__init__(h, t, coaction)
+
+
+def _nonzero_columns(mat: Matrix) -> list:
+    """Per column c, the nonzero entries (r, x) of mat, by row."""
+    cols = [[] for _ in range(mat.cols)]
+    for r, row in enumerate(mat.entries):
+        for c, x in enumerate(row):
+            if x:
+                cols[c].append((r, x))
+    return cols
 
 
 def tensor_over_source(a: Comodule, b: Comodule) -> TensorComodule:
@@ -524,9 +535,6 @@ def memoized_tensor(memo, a: Comodule, b: Comodule) -> TensorComodule:
     return hit
 
 
-_memo_tensor = memoized_tensor
-
-
 def memoized_associator(memo, a: Comodule, b: Comodule, c: Comodule) -> ComoduleMap:
     """Associator built on cache-shared tensor products."""
     return associator(
@@ -548,11 +556,11 @@ def check_triangle(a: Comodule, b: Comodule, memo=None) -> Verdict:
         unit_c = unit_comodule(h)
         if memo is not None:
             memo["unit"] = unit_c
-    au = _memo_tensor(memo, a, unit_c)
-    ub = _memo_tensor(memo, unit_c, b)
-    ab = _memo_tensor(memo, a, b)
-    left = _memo_tensor(memo, au, b)
-    right = _memo_tensor(memo, a, ub)
+    au = memoized_tensor(memo, a, unit_c)
+    ub = memoized_tensor(memo, unit_c, b)
+    ab = memoized_tensor(memo, a, b)
+    left = memoized_tensor(memo, au, b)
+    right = memoized_tensor(memo, a, ub)
     assoc = associator(a, unit_c, b, ab=au, bc=ub, left=left, right=right)
     _, _, r_a, _ = unitors(a)
     l_b, _, _, _ = unitors(b)
@@ -567,18 +575,18 @@ def check_triangle(a: Comodule, b: Comodule, memo=None) -> Verdict:
 
 def check_pentagon(a: Comodule, b: Comodule, c: Comodule, d: Comodule, memo=None) -> Verdict:
     """MacLane's pentagon for the given quadruple, on quotient representatives."""
-    ab = _memo_tensor(memo, a, b)
-    bc = _memo_tensor(memo, b, c)
-    cd = _memo_tensor(memo, c, d)
-    ab_c = _memo_tensor(memo, ab, c)
-    b_cd = _memo_tensor(memo, b, cd)
-    bc_d = _memo_tensor(memo, bc, d)
-    a_bc = _memo_tensor(memo, a, bc)
-    abc_d = _memo_tensor(memo, ab_c, d)
-    a_bcd = _memo_tensor(memo, a, b_cd)
-    ab_cd = _memo_tensor(memo, ab, cd)
-    abc_d2 = _memo_tensor(memo, a_bc, d)
-    a_bcd2 = _memo_tensor(memo, a, bc_d)
+    ab = memoized_tensor(memo, a, b)
+    bc = memoized_tensor(memo, b, c)
+    cd = memoized_tensor(memo, c, d)
+    ab_c = memoized_tensor(memo, ab, c)
+    b_cd = memoized_tensor(memo, b, cd)
+    bc_d = memoized_tensor(memo, bc, d)
+    a_bc = memoized_tensor(memo, a, bc)
+    abc_d = memoized_tensor(memo, ab_c, d)
+    a_bcd = memoized_tensor(memo, a, b_cd)
+    ab_cd = memoized_tensor(memo, ab, cd)
+    abc_d2 = memoized_tensor(memo, a_bc, d)
+    a_bcd2 = memoized_tensor(memo, a, bc_d)
 
     id_a = ComoduleMap.identity(a)
     id_d = ComoduleMap.identity(d)

@@ -2,8 +2,8 @@
 
 The decomposition algorithm works inside K = Z(H) cap H_t cap H_s, where
 every block unit provably lives: split K into primitive idempotents by
-minimal polynomials (rational roots over Q, exhaustive roots over small
-prime fields; anything beyond that is flagged undecided, never guessed),
+minimal polynomials (rational roots over Q, exhaustive roots over prime
+fields; anything beyond that is flagged undecided, never guessed),
 then merge the primitive idempotents along comultiplication leakage until
 every block sum e satisfies Delta(e) in eH (x) eH.  Each merge is forced in
 any valid coarser partition, so the fixpoint is the unique finest system of
@@ -377,7 +377,55 @@ def _find_roots(field, p):
             if not _poly_eval(field, p, Mod(v, field.characteristic))
         ]
         return roots, True
-    return [], False
+    return _gf_roots(field, p), True
+
+
+def _gf_roots(field, f):
+    """The roots of f over GF(p) for odd p, in increasing order.
+
+    gcd(f, x^p - x) is the product of the distinct linear factors of f; it is
+    split by equal-degree splitting, gcd(g, (x + a)^((p-1)/2) - 1) for the
+    shifts a = 0, 1, 2, ... in turn, so the result does not depend on chance.
+    """
+    char = field.characteristic
+    one = field.one
+    x = [field.zero, one]
+    xp = _poly_powmod(field, x, char, f)
+    pending = [_poly_extended_gcd(field, f, _poly_sub(field, xp, x))[0]]
+    roots = []
+    while pending:
+        g = pending.pop()
+        if len(g) == 2:
+            roots.append(-g[0])
+            continue
+        if len(g) < 2:
+            continue
+        a = 0
+        while True:
+            shifted = _poly_powmod(field, [field.of(a), one], (char - 1) // 2, g)
+            d = _poly_extended_gcd(field, g, _poly_sub(field, shifted, [one]))[0]
+            if 1 < len(d) < len(g):
+                pending.append(d)
+                pending.append(_poly_divmod(field, g, d)[0])
+                break
+            a += 1
+    return sorted(roots, key=lambda r: r.value)
+
+
+def _poly_powmod(field, base, e, modulus):
+    """base^e modulo the polynomial modulus, by repeated squaring."""
+    result = [field.one]
+    base = _poly_divmod(field, base, modulus)[1]
+    while e:
+        if e & 1:
+            result = _poly_divmod(field, _poly_mul(field, result, base), modulus)[1]
+        base = _poly_divmod(field, _poly_mul(field, base, base), modulus)[1]
+        e >>= 1
+    return result
+
+
+def _poly_sub(field, a, b):
+    return _poly_trim([x - y for x, y in _pad(field, a, b)])
 
 
 def _coprime_split(field, minpoly):
@@ -410,8 +458,8 @@ def _poly_extended_gcd(field, a, b):
     while r1:
         q, r = _poly_divmod(field, r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, _poly_trim([x - y for x, y in _pad(field, s0, _poly_mul(field, q, s1))])
-        t0, t1 = t1, _poly_trim([x - y for x, y in _pad(field, t0, _poly_mul(field, q, t1))])
+        s0, s1 = s1, _poly_sub(field, s0, _poly_mul(field, q, s1))
+        t0, t1 = t1, _poly_sub(field, t0, _poly_mul(field, q, t1))
     if r0:
         lead = r0[-1]
         inv = field.one / lead

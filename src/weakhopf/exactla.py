@@ -98,7 +98,8 @@ class Mod:
         if isinstance(other, Mod):
             return self.p == other.p and self.value == other.value
         if isinstance(other, int):
-            return self.value == other % self.p
+            # only the canonical representative, so that equal values hash alike
+            return self.value == other
         return NotImplemented
 
     def __lt__(self, other):

@@ -45,6 +45,8 @@ def _field_name(field: FieldSpec) -> str:
 
 
 def _parse_scalar_grid(field, grid, shape, path):
+    if not isinstance(grid, list):
+        raise MalformedInput(f"{path}: expected a list of {shape[0]} rows")
     if len(grid) != shape[0]:
         raise MalformedInput(f"{path}: expected {shape[0]} rows, got {len(grid)}")
     rows = []

@@ -25,8 +25,14 @@ from .errors import (
     Verdict,
     Violation,
 )
-from .exactla import Matrix, inverse, vec_zero
-from .comod import Comodule, TensorComodule, coaction_verdict, tensor_over_source
+from .exactla import Matrix, inverse, rank, vec_zero
+from .comod import (
+    Comodule,
+    TensorComodule,
+    coaction_verdict,
+    comodule_map_verdict,
+    tensor_over_source,
+)
 from .weakbia import WeakBialgebra
 
 RECONSTRUCTION_LAYERS = (
@@ -153,12 +159,11 @@ def induced_coaction(phi: Matrix, m: Comodule, target: WeakBialgebra) -> Matrix:
     field = target.field
     z = field.zero
     rows = [[z] * m.dim for _ in range(m.dim * nk)]
-    cols = [phi.col(j) for j in range(phi.cols)]
+    cols = [[(k, p) for k, p in enumerate(phi.col(j)) if p] for j in range(phi.cols)]
     for i in range(m.dim):
         for (a, j), c in m.coact_nonzeros(i):
-            for k, p in enumerate(cols[j]):
-                if p:
-                    rows[a * nk + k][i] = rows[a * nk + k][i] + c * p
+            for k, p in cols[j]:
+                rows[a * nk + k][i] = rows[a * nk + k][i] + c * p
     return Matrix._raw(field, rows, m.dim)
 
 
@@ -211,21 +216,32 @@ class IotaResult:
     phi_s_bijective: bool
 
 
-def comonoidal_structure(phi: WeakBialgebraMap, a: Comodule, b: Comodule) -> IotaResult:
+def comonoidal_structure(
+    phi: WeakBialgebraMap,
+    a: Comodule,
+    b: Comodule,
+    a_k: Comodule | None = None,
+    b_k: Comodule | None = None,
+    phi_s_bijective: bool | None = None,
+) -> IotaResult:
     """iota_{a,b}: M^phi(a (x)_{H_s} b) -> M^phi(a) (x)_{K_s} M^phi(b).
 
     The map is induced by the identity of the plain tensor product; it is
     always surjective, and bijective whenever phi restricted to the source
-    subalgebras is bijective.
+    subalgebras is bijective.  A caller that handles many pairs may pass the
+    induced comodules M^phi(a), M^phi(b) and whether phi_s is bijective,
+    computed once.
     """
-    from .comod import comodule_map_verdict
-    from .exactla import rank
-
     if a.over is not phi.source or b.over is not phi.source:
         raise MalformedInput("comodules are not over the map's source")
+    for m, m_k in ((a, a_k), (b, b_k)):
+        if m_k is not None and (m_k.over is not phi.target or m_k.dim != m.dim):
+            raise MalformedInput("induced comodule does not match the map's target")
     t_h = tensor_over_source(a, b)
-    a_k = induced_functor(phi, a)
-    b_k = induced_functor(phi, b)
+    if a_k is None:
+        a_k = induced_functor(phi, a)
+    if b_k is None:
+        b_k = induced_functor(phi, b)
     t_k = tensor_over_source(a_k, b_k)
     src = induced_functor(phi, t_h)
     mat = t_k.projection.mul(t_h.section)
@@ -233,16 +249,21 @@ def comonoidal_structure(phi: WeakBialgebraMap, a: Comodule, b: Comodule) -> Iot
     r = rank(mat)
     surjective = r == t_k.dim
     bijective = surjective and r == src.dim
-    try:
-        phi_s = _phi_s_matrix(phi.matrix, phi.source, phi.target)
-        phi_s_bij = inverse(phi_s) is not None
-    except PhiSEscape:
-        phi_s_bij = False
+    if phi_s_bijective is None:
+        phi_s_bijective = _phi_s_bijective(phi.matrix, phi.source, phi.target)
     if not surjective:
         raise InternalInconsistency("iota failed to be surjective")
-    if phi_s_bij and not bijective:
+    if phi_s_bijective and not bijective:
         raise InternalInconsistency("phi_s bijective but iota is not")
-    return IotaResult(mat, src, t_k, verdict, surjective, bijective, phi_s_bij)
+    return IotaResult(mat, src, t_k, verdict, surjective, bijective, phi_s_bijective)
+
+
+def _phi_s_bijective(phi: Matrix, source: WeakBialgebra, target: WeakBialgebra) -> bool:
+    try:
+        phi_s = _phi_s_matrix(phi, source, target)
+    except PhiSEscape:
+        return False
+    return inverse(phi_s) is not None
 
 
 class FunctorData:
@@ -410,22 +431,27 @@ def reconstruct_weak_bialgebra_map(fd: FunctorData) -> ReconstructionResult:
     layers.append(("unit-morphism", Verdict(tuple(unit_violations))))
 
     bij_violations = []
+    phi_s_bijective = phi_s is not None and inverse(phi_s) is not None
     if phi_s is None:
         bij_violations.append(Violation("phi_s not bijective", (), None, None))
-    elif phi_s.rows != phi_s.cols or inverse(phi_s) is None:
+    elif not phi_s_bijective:
         bij_violations.append(
             Violation("phi_s not bijective", (), (phi_s.rows, phi_s.cols), None)
         )
     layers.append(("source-bijectivity", Verdict(tuple(bij_violations))))
 
     como_violations = []
-    clean = all(v.ok for _, v in layers)
-    if clean:
+    bmap = None
+    if all(v.ok for _, v in layers):
         bmap = WeakBialgebraMap(h, k, phi)
         comods = [m for m, _ in fd.assignments]
-        for i, m in enumerate(comods):
-            for j, m2 in enumerate(comods):
-                res = comonoidal_structure(bmap, m, m2)
+        # each assignment's comodule over the target, built once for all pairs
+        induced = [induced_functor(bmap, m) for m in comods]
+        for i, (m, m_k) in enumerate(zip(comods, induced)):
+            for j, (m2, m2_k) in enumerate(zip(comods, induced)):
+                res = comonoidal_structure(
+                    bmap, m, m2, a_k=m_k, b_k=m2_k, phi_s_bijective=phi_s_bijective
+                )
                 if not res.comodule_map_verdict.ok:
                     como_violations.append(
                         Violation("iota not a comodule map", (i, j), res.comodule_map_verdict.describe(), None)
@@ -440,7 +466,7 @@ def reconstruct_weak_bialgebra_map(fd: FunctorData) -> ReconstructionResult:
 
     result = ReconstructionResult(phi, tuple(layers))
     if result.ok:
-        result = ReconstructionResult(phi, tuple(layers), WeakBialgebraMap(h, k, phi))
+        result = ReconstructionResult(phi, tuple(layers), bmap)
     return result
 
 

@@ -64,6 +64,9 @@ class WeakBialgebra:
         "blocks",
         "_etable",
         "_mult_nz",
+        "_comult_nz",
+        "_counital_pairs",
+        "_source_eps_rows",
     )
 
     def __init__(self, alg, coa, eps, ht, hs, antipode=None, blocks=None):
@@ -79,6 +82,9 @@ class WeakBialgebra:
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "_etable", None)
         object.__setattr__(self, "_mult_nz", None)
+        object.__setattr__(self, "_comult_nz", None)
+        object.__setattr__(self, "_counital_pairs", None)
+        object.__setattr__(self, "_source_eps_rows", None)
 
     def __setattr__(self, name, val):
         raise AttributeError("WeakBialgebra is immutable")
@@ -175,6 +181,56 @@ class WeakBialgebra:
             pass
         return table
 
+    def comult_nz(self):
+        """Sparse comultiplication: comult_nz()[j] = ((j2, k2, coeff), ...)."""
+        cached = getattr(self, "_comult_nz", None)
+        if cached is not None:
+            return cached
+        delta = self.coa.comult
+        table = tuple(
+            tuple(
+                (a, b, c)
+                for a, row in enumerate(delta[j])
+                for b, c in enumerate(row)
+                if c
+            )
+            for j in range(self.dim)
+        )
+        try:
+            object.__setattr__(self, "_comult_nz", table)
+        except AttributeError:
+            pass
+        return table
+
+    def counital_pair_tables(self):
+        """(L, R) with L[j][i] = eps(eps_s'(b_j) b_i) and R[j][i] = eps(b_i eps_s(b_j))."""
+        cached = self._counital_pairs
+        if cached is not None:
+            return cached
+        e = self.eps_pair_table()
+        e_t = tuple(zip(*e))
+        n = self.dim
+        tables = (
+            tuple(_combine_rows(self.field, self.eps_s_prime.col(j), e) for j in range(n)),
+            tuple(_combine_rows(self.field, self.eps_s.col(j), e_t) for j in range(n)),
+        )
+        object.__setattr__(self, "_counital_pairs", tables)
+        return tables
+
+    def source_eps_rows(self):
+        """For each H_s basis vector y, the rows (eps(y b_j))_j and (eps(b_j y))_j."""
+        cached = self._source_eps_rows
+        if cached is not None:
+            return cached
+        e = self.eps_pair_table()
+        e_t = tuple(zip(*e))
+        table = tuple(
+            (_combine_rows(self.field, y, e), _combine_rows(self.field, y, e_t))
+            for y in self.hs.basis
+        )
+        object.__setattr__(self, "_source_eps_rows", table)
+        return table
+
     def tensor_square_product(self, u, v):
         """Product of u, v in the algebra H (x) H (row-major coordinates)."""
         n = self.dim
@@ -232,6 +288,18 @@ class WeakBialgebra:
 
     def __repr__(self):
         return f"WeakBialgebra(dim {self.dim} over {self.field})"
+
+
+def _combine_rows(field, coeffs, rows) -> tuple:
+    """sum_c coeffs[c] * rows[c] for the rows of a square table."""
+    out = [field.zero] * len(rows)
+    for coef, row in zip(coeffs, rows):
+        if not coef:
+            continue
+        for i, x in enumerate(row):
+            if x:
+                out[i] = out[i] + coef * x
+    return tuple(out)
 
 
 def _check_wh1(h_alg, h_coa, tsp) -> list[Violation]:
@@ -318,15 +386,7 @@ def verify_weak_bialgebra(alg: FiniteAlgebra, coa: FiniteCoalgebra) -> Verdict:
     etable = shell.eps_pair_table()
     eps = coa.counit
     wh3 = []
-    delta_nz = [
-        tuple(
-            (a_idx, b_idx, coa.comult[j][a_idx][b_idx])
-            for a_idx in range(n)
-            for b_idx in range(n)
-            if coa.comult[j][a_idx][b_idx]
-        )
-        for j in range(n)
-    ]
+    delta_nz = shell.comult_nz()
     mult_nz = shell.mult_nz()
     for i in range(n):
         for j in range(n):

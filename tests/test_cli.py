@@ -1,6 +1,7 @@
 """Byte-exact golden-file tests for every command plus the exit-code contract."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -104,6 +105,37 @@ def test_reconstruct_corrupt_exits_one(capsys, in_golden_dir):
     assert "first failing layer: comodule-validity" in out
 
 
+def test_reconstruct_missing_coaction_exits_two(capsys, in_golden_dir, tmp_path):
+    doc = json.loads(golden("swap_functor.json"))
+    del doc["assignments"][1]["coaction"]
+    functor = tmp_path / "F.json"
+    functor.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run(capsys, ["reconstruct", "gpd2.wba.json", "gpd2.wba.json", str(functor)])
+    assert code == 2
+    assert "error [malformed]" in out
+
+
+@pytest.mark.parametrize(
+    "fname,key,loader",
+    [
+        ("gpd2.wba.json", "antipode", "wba"),
+        ("swap_functor.json", "unit_map", "functor"),
+    ],
+)
+def test_non_list_grid_is_malformed(fname, key, loader, gpd2):
+    from weakhopf.errors import MalformedInput
+    from weakhopf.serialize import functor_from_document, wba_from_document
+
+    doc = json.loads(golden(fname))
+    assert key in doc
+    doc[key] = 7
+    with pytest.raises(MalformedInput, match=key):
+        if loader == "wba":
+            wba_from_document(doc)
+        else:
+            functor_from_document(doc, gpd2, {}, gpd2)
+
+
 def test_structured_report_is_json_with_exit_code(capsys, in_golden_dir):
     code, out = run(capsys, ["decompose", "sum.wba.json", "--format", "structured"])
     doc = json.loads(out)
@@ -159,11 +191,18 @@ def test_fixture_field_override(capsys):
 
 
 def test_console_entry_point_smoke():
+    # the child process finds the package where this process imported it from
+    import weakhopf
+
+    src = str(pathlib.Path(weakhopf.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     out = subprocess.run(
         [sys.executable, "-m", "weakhopf.cli", "fixture", "k"],
         capture_output=True,
         text=True,
         timeout=60,
+        env=env,
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["dim"] == 1

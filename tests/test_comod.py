@@ -1,14 +1,23 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from weakhopf.errors import AxiomViolation, PreconditionError
-from weakhopf.exactla import QQ, Matrix
+from weakhopf.errors import AxiomViolation, PreconditionError, Verdict, Violation
+from weakhopf.exactla import GF, QQ, Matrix, vec_unit, vec_zero
+from weakhopf.fixtures import (
+    cyclic_group_table,
+    group_algebra,
+    groupoid_algebra,
+    indiscrete_groupoid,
+    preset,
+)
 from weakhopf.comod import (
     Comodule,
     ComoduleMap,
     bimodule_action,
     check_lemma25,
+    coaction_verdict,
     check_pentagon,
     check_triangle,
     comodule_hom_basis,
@@ -235,3 +244,146 @@ def test_tensor_coassociativity_checked_at_construction(gpd2):
     assert uu.reps == (0, 3)
     col = uu.coaction.col(0)  # (e1 (x) e1) goes to itself tensor e1
     assert col[0 * 4 + 0] == 1 and sum(1 for x in col if x) == 1
+
+
+# ---------------------------------------------------------------------------
+# the sparse kernels against a dense reference evaluator
+
+
+def _dense_coaction_verdict(h, dim, coaction):
+    """The comodule axioms by dense scans of the structure constants."""
+    n = h.dim
+    field = h.field
+    violations = []
+    cols = [coaction.col(i) for i in range(dim)]
+    nz = [[(divmod(idx, n), c) for idx, c in enumerate(col) if c] for col in cols]
+    for i in range(dim):
+        lhs = {}
+        rhs = {}
+        for (a, j), c in nz[i]:
+            for (a2, j2), c2 in nz[a]:
+                key = (a2, j2, j)
+                lhs[key] = lhs.get(key, field.zero) + c * c2
+            for j2 in range(n):
+                row = h.comult[j][j2]
+                for k2 in range(n):
+                    d = row[k2]
+                    if d:
+                        key = (a, j2, k2)
+                        rhs[key] = rhs.get(key, field.zero) + c * d
+        lhs = {k: v for k, v in lhs.items() if v}
+        rhs = {k: v for k, v in rhs.items() if v}
+        if lhs != rhs:
+            violations.append(
+                Violation("comodule coassociativity", (i,), sorted(lhs.items()), sorted(rhs.items()))
+            )
+    eps = h.counit
+    for i in range(dim):
+        acc = list(vec_zero(field, dim))
+        for (a, j), c in nz[i]:
+            if eps[j]:
+                acc[a] = acc[a] + c * eps[j]
+        if tuple(acc) != vec_unit(field, dim, i):
+            violations.append(Violation("comodule counit", (i,), tuple(acc), vec_unit(field, dim, i)))
+    if violations:
+        return Verdict(tuple(violations))
+    etable = h.eps_pair_table()
+    for i in range(dim):
+        left = list(vec_zero(field, dim))
+        right = list(vec_zero(field, dim))
+        for (a, j), c in nz[i]:
+            for (a2, j1), c2 in nz[a]:
+                cc = c * c2
+                es = field.zero
+                for cidx, coef in enumerate(h.eps_s_prime.col(j)):
+                    if coef and etable[cidx][j1]:
+                        es = es + coef * etable[cidx][j1]
+                if es:
+                    left[a2] = left[a2] + cc * es
+                er = field.zero
+                for cidx, coef in enumerate(h.eps_s.col(j)):
+                    if coef and etable[j1][cidx]:
+                        er = er + coef * etable[j1][cidx]
+                if er:
+                    right[a2] = right[a2] + cc * er
+        e_i = vec_unit(field, dim, i)
+        if tuple(left) != e_i:
+            violations.append(Violation("2.5(3)(iii) left", (i,), tuple(left), e_i))
+        if tuple(right) != e_i:
+            violations.append(Violation("2.5(3)(iii) right", (i,), tuple(right), e_i))
+    return Verdict(tuple(violations))
+
+
+def _dense_actions(h, c):
+    """The (H_s, H_s)-action matrices y.m and m.y by dense scans."""
+    etable = h.eps_pair_table()
+    n, dim, z = h.dim, c.dim, h.field.zero
+    left, right = [], []
+    for y in h.hs.basis:
+        lm = [[z] * dim for _ in range(dim)]
+        rm = [[z] * dim for _ in range(dim)]
+        for b in range(dim):
+            for idx, coef in enumerate(c.coaction.col(b)):
+                if not coef:
+                    continue
+                a, j = divmod(idx, n)
+                el = sum((y[k] * etable[k][j] for k in range(n)), z)
+                er = sum((y[k] * etable[j][k] for k in range(n)), z)
+                lm[a][b] += coef * el
+                rm[a][b] += coef * er
+        left.append(Matrix(h.field, lm, cols=dim))
+        right.append(Matrix(h.field, rm, cols=dim))
+    return tuple(left), tuple(right)
+
+
+def _kernel_algebras():
+    labels, table = cyclic_group_table(3)
+    for field in (QQ, GF(5)):
+        yield "gpd2", preset("gpd2", field)
+        yield "gpd3", groupoid_algebra(indiscrete_groupoid(3), field)
+        yield "c3", group_algebra(labels, table, field)
+        yield "sum", preset("sum", field)
+
+
+KERNEL_ALGEBRAS = list(_kernel_algebras())
+
+
+@pytest.mark.parametrize("h", [h for _, h in KERNEL_ALGEBRAS], ids=[f"{n}-{h.field}" for n, h in KERNEL_ALGEBRAS])
+def test_sparse_coaction_verdict_matches_dense_reference(h):
+    reg = regular_comodule(h)
+    un = unit_comodule(h)
+    comodules = [reg, un, tensor_over_source(un, un), tensor_over_source(reg, un),
+                 tensor_over_source(un, reg)]
+    rng = random.Random(f"bump:{h.dim}:{h.field}")
+    one = h.field.one
+    for c in comodules:
+        verdict = coaction_verdict(h, c.dim, c.coaction)
+        assert verdict.ok
+        assert verdict == _dense_coaction_verdict(h, c.dim, c.coaction)
+        assert (c.left_act, c.right_act) == _dense_actions(h, c)
+        rows = [list(r) for r in c.coaction.entries]
+        for _ in range(4):
+            r, col = rng.randrange(len(rows)), rng.randrange(c.dim)
+            bumped = [list(row) for row in rows]
+            bumped[r][col] = bumped[r][col] + one
+            mat = Matrix(h.field, bumped, cols=c.dim)
+            got = coaction_verdict(h, c.dim, mat)
+            want = _dense_coaction_verdict(h, c.dim, mat)
+            assert not got.ok
+            assert got == want and repr(got) == repr(want)
+            with pytest.raises(AxiomViolation) as err:
+                Comodule(h, c.dim, mat)
+            assert err.value.verdict == want
+
+
+@pytest.mark.parametrize("h", [h for _, h in KERNEL_ALGEBRAS], ids=[f"{n}-{h.field}" for n, h in KERNEL_ALGEBRAS])
+def test_tensor_quotient_data_and_coaction(h):
+    reg = regular_comodule(h)
+    un = unit_comodule(h)
+    ru = tensor_over_source(reg, un)
+    for a, b in ((reg, reg), (reg, un), (un, reg), (ru, un), (un, ru)):
+        t = tensor_over_source(a, b)
+        assert t.projection.mul(t.section) == Matrix.identity(h.field, t.dim)
+        for v in t.relators.basis:
+            assert not any(t.projection.apply(v))
+        assert _dense_coaction_verdict(h, t.dim, t.coaction).ok

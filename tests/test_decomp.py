@@ -12,6 +12,8 @@ from weakhopf.decomp import (
     CERT_UNDECIDED,
     LeftModule,
     _coprime_split,
+    _find_roots,
+    _poly_mul,
     _split_pieces,
     decompose,
     direct_sum,
@@ -219,6 +221,26 @@ def test_decompose_over_gf2(z3gf2):
     rep = decompose(z3gf2)
     assert rep.block_count == 1
     assert rep.certificates == (CERT_INDECOMPOSABLE,)
+
+
+def test_decompose_sum_over_large_prime_field():
+    # p > 997: roots come from gcd(f, x^p - x) and equal-degree splitting
+    rep = decompose(preset("sum", GF(1009)))
+    assert rep.block_count == 2
+    assert rep.certificates == (CERT_INDECOMPOSABLE, CERT_INDECOMPOSABLE)
+
+
+@pytest.mark.parametrize("p", [997, 1009, 7919])
+def test_find_roots_over_prime_fields(p):
+    # (t - 3)^2 (t - 5)(t^2 - 2) * 7: distinct roots, sorted, nothing else
+    f = GF(p)
+    poly = [f.of(7)]
+    for factor in ([-3, 1], [-3, 1], [-5, 1], [-2, 0, 1]):
+        poly = _poly_mul(f, poly, [f.of(c) for c in factor])
+    roots, exhaustive = _find_roots(f, poly)
+    expected = sorted({3, 5} | {v for v in range(p) if (v * v - 2) % p == 0})
+    assert exhaustive
+    assert [r.value for r in roots] == expected
 
 
 def test_decompose_sum_over_gf5(c2):

@@ -61,6 +61,15 @@ def test_mod_arithmetic():
         a / Mod(0, 5)
 
 
+def test_mod_equals_only_its_canonical_int():
+    a = Mod(1, 5)
+    assert a == 1 and 1 in {a}
+    assert (a == 6) is False
+    assert (6 in {a}) == (a == 6)
+    assert (Mod(4, 5) == -1) is False
+    assert hash(Mod(7, 5)) == hash(2) and Mod(7, 5) == 2
+
+
 def test_mixed_field_entries_rejected():
     with pytest.raises(MalformedInput):
         Matrix(QQ, [[Mod(1, 2), Fraction(0)]])
