@@ -49,15 +49,19 @@ def _coaction_nonzeros(h: WeakBialgebra, dim: int, coaction: Matrix) -> tuple:
         raise MalformedInput(
             f"coaction must be {dim * n}x{dim}, got {coaction.rows}x{coaction.cols}"
         )
-    nz = [[] for _ in range(dim)]
-    for idx, row in enumerate(coaction.entries):
-        aj = None
-        for i, c in enumerate(row):
-            if c:
-                if aj is None:
-                    aj = divmod(idx, n)
-                nz[i].append((aj, c))
-    return tuple(tuple(col) for col in nz)
+    return tuple(
+        tuple((divmod(r, n), c) for r, c in col) for col in _nonzero_columns(coaction)
+    )
+
+
+def _nonzero_columns(mat: Matrix) -> list:
+    """Per column c, the nonzero entries (r, x) of mat, by row."""
+    cols = [[] for _ in range(mat.cols)]
+    for r, row in enumerate(mat.entries):
+        for c, x in enumerate(row):
+            if x:
+                cols[c].append((r, x))
+    return cols
 
 
 def _coaction_nz_verdict(h: WeakBialgebra, dim: int, nz) -> Verdict:
@@ -394,16 +398,6 @@ class TensorComodule(Comodule):
         object.__setattr__(self, "projection", projection)
         object.__setattr__(self, "section", section)
         super().__init__(h, t, coaction)
-
-
-def _nonzero_columns(mat: Matrix) -> list:
-    """Per column c, the nonzero entries (r, x) of mat, by row."""
-    cols = [[] for _ in range(mat.cols)]
-    for r, row in enumerate(mat.entries):
-        for c, x in enumerate(row):
-            if x:
-                cols[c].append((r, x))
-    return cols
 
 
 def tensor_over_source(a: Comodule, b: Comodule) -> TensorComodule:

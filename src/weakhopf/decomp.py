@@ -45,8 +45,6 @@ from .comod import Comodule
 CERT_INDECOMPOSABLE = "indecomposable"
 CERT_UNDECIDED = "undecided-over-field"
 
-_GF_ROOT_SEARCH_BOUND = 997
-
 
 @dataclass(frozen=True)
 class BlockData:
@@ -370,12 +368,9 @@ def _find_roots(field, p):
             if not _poly_eval(field, p, cand):
                 roots.append(cand)
         return sorted(roots), True
-    if field.characteristic <= _GF_ROOT_SEARCH_BOUND:
-        roots = [
-            Mod(v, field.characteristic)
-            for v in range(field.characteristic)
-            if not _poly_eval(field, p, Mod(v, field.characteristic))
-        ]
+    if field.characteristic == 2:
+        # equal-degree splitting needs an odd p; GF(2) has two candidates
+        roots = [Mod(v, 2) for v in range(2) if not _poly_eval(field, p, Mod(v, 2))]
         return roots, True
     return _gf_roots(field, p), True
 

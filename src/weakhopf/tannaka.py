@@ -29,6 +29,7 @@ from .exactla import Matrix, inverse, rank, vec_zero
 from .comod import (
     Comodule,
     TensorComodule,
+    _nonzero_columns,
     coaction_verdict,
     comodule_map_verdict,
     tensor_over_source,
@@ -50,7 +51,7 @@ RECONSTRUCTION_LAYERS = (
 class WeakBialgebraMap:
     """A verified map of weak bialgebras (algebra map and coalgebra map)."""
 
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("source", "target", "matrix", "_phi_s_bijective")
 
     def __init__(self, source: WeakBialgebra, target: WeakBialgebra, matrix: Matrix):
         verdict = map_verdict(matrix, source, target)
@@ -59,6 +60,7 @@ class WeakBialgebraMap:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_phi_s_bijective", None)
 
     def __setattr__(self, name, val):
         raise AttributeError("WeakBialgebraMap is immutable")
@@ -72,6 +74,13 @@ class WeakBialgebraMap:
     def source_restriction(self) -> Matrix:
         """phi restricted to H_s, as a matrix in the canonical echelon bases."""
         return _phi_s_matrix(self.matrix, self.source, self.target)
+
+    def phi_s_bijective(self) -> bool:
+        """Whether phi restricts to a bijection H_s -> K_s; decided on first use."""
+        if self._phi_s_bijective is None:
+            bij = inverse(self.source_restriction()) is not None
+            object.__setattr__(self, "_phi_s_bijective", bij)
+        return self._phi_s_bijective
 
     def __repr__(self):
         return f"WeakBialgebraMap({self.source!r} -> {self.target!r})"
@@ -159,7 +168,7 @@ def induced_coaction(phi: Matrix, m: Comodule, target: WeakBialgebra) -> Matrix:
     field = target.field
     z = field.zero
     rows = [[z] * m.dim for _ in range(m.dim * nk)]
-    cols = [[(k, p) for k, p in enumerate(phi.col(j)) if p] for j in range(phi.cols)]
+    cols = _nonzero_columns(phi)
     for i in range(m.dim):
         for (a, j), c in m.coact_nonzeros(i):
             for k, p in cols[j]:
@@ -222,21 +231,24 @@ def comonoidal_structure(
     b: Comodule,
     a_k: Comodule | None = None,
     b_k: Comodule | None = None,
-    phi_s_bijective: bool | None = None,
 ) -> IotaResult:
     """iota_{a,b}: M^phi(a (x)_{H_s} b) -> M^phi(a) (x)_{K_s} M^phi(b).
 
     The map is induced by the identity of the plain tensor product; it is
     always surjective, and bijective whenever phi restricted to the source
     subalgebras is bijective.  A caller that handles many pairs may pass the
-    induced comodules M^phi(a), M^phi(b) and whether phi_s is bijective,
-    computed once.
+    induced comodules M^phi(a), M^phi(b), built once; each is checked to be
+    exactly the induced comodule.
     """
     if a.over is not phi.source or b.over is not phi.source:
         raise MalformedInput("comodules are not over the map's source")
     for m, m_k in ((a, a_k), (b, b_k)):
-        if m_k is not None and (m_k.over is not phi.target or m_k.dim != m.dim):
-            raise MalformedInput("induced comodule does not match the map's target")
+        if m_k is not None and (
+            m_k.over is not phi.target
+            or m_k.dim != m.dim
+            or m_k.coaction != induced_coaction(phi.matrix, m, phi.target)
+        ):
+            raise MalformedInput("comodule is not the induced comodule over the map's target")
     t_h = tensor_over_source(a, b)
     if a_k is None:
         a_k = induced_functor(phi, a)
@@ -249,21 +261,12 @@ def comonoidal_structure(
     r = rank(mat)
     surjective = r == t_k.dim
     bijective = surjective and r == src.dim
-    if phi_s_bijective is None:
-        phi_s_bijective = _phi_s_bijective(phi.matrix, phi.source, phi.target)
+    phi_s_bijective = phi.phi_s_bijective()
     if not surjective:
         raise InternalInconsistency("iota failed to be surjective")
     if phi_s_bijective and not bijective:
         raise InternalInconsistency("phi_s bijective but iota is not")
     return IotaResult(mat, src, t_k, verdict, surjective, bijective, phi_s_bijective)
-
-
-def _phi_s_bijective(phi: Matrix, source: WeakBialgebra, target: WeakBialgebra) -> bool:
-    try:
-        phi_s = _phi_s_matrix(phi, source, target)
-    except PhiSEscape:
-        return False
-    return inverse(phi_s) is not None
 
 
 class FunctorData:
@@ -431,10 +434,9 @@ def reconstruct_weak_bialgebra_map(fd: FunctorData) -> ReconstructionResult:
     layers.append(("unit-morphism", Verdict(tuple(unit_violations))))
 
     bij_violations = []
-    phi_s_bijective = phi_s is not None and inverse(phi_s) is not None
     if phi_s is None:
         bij_violations.append(Violation("phi_s not bijective", (), None, None))
-    elif not phi_s_bijective:
+    elif inverse(phi_s) is None:
         bij_violations.append(
             Violation("phi_s not bijective", (), (phi_s.rows, phi_s.cols), None)
         )
@@ -449,9 +451,7 @@ def reconstruct_weak_bialgebra_map(fd: FunctorData) -> ReconstructionResult:
         induced = [induced_functor(bmap, m) for m in comods]
         for i, (m, m_k) in enumerate(zip(comods, induced)):
             for j, (m2, m2_k) in enumerate(zip(comods, induced)):
-                res = comonoidal_structure(
-                    bmap, m, m2, a_k=m_k, b_k=m2_k, phi_s_bijective=phi_s_bijective
-                )
+                res = comonoidal_structure(bmap, m, m2, a_k=m_k, b_k=m2_k)
                 if not res.comodule_map_verdict.ok:
                     como_violations.append(
                         Violation("iota not a comodule map", (i, j), res.comodule_map_verdict.describe(), None)

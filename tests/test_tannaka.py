@@ -104,6 +104,20 @@ def test_comonoidal_structure_swap_bijective(gpd2):
     assert res.comodule_map_verdict.ok
 
 
+def test_comonoidal_structure_prebuilt_induced_comodules(gpd2):
+    swap = WeakBialgebraMap(gpd2, gpd2, swap_matrix())
+    reg, un = regular_comodule(gpd2), unit_comodule(gpd2)
+    reg_k, un_k = induced_functor(swap, reg), induced_functor(swap, un)
+    res = comonoidal_structure(swap, reg, un, a_k=reg_k, b_k=un_k)
+    ref = comonoidal_structure(swap, reg, un)
+    assert res.matrix == ref.matrix and res.comodule_map_verdict == ref.comodule_map_verdict
+    assert res.target.coaction == ref.target.coaction and res.bijective
+    # a comodule over the target of the right dimension, but not M^phi(reg)
+    assert reg.coaction != reg_k.coaction
+    with pytest.raises(MalformedInput):
+        comonoidal_structure(swap, reg, un, a_k=reg, b_k=un_k)
+
+
 def test_comonoidal_structure_unit_inclusion(k, c2):
     phi = WeakBialgebraMap(k, c2, Matrix(QQ, [[1], [0]]))
     u = unit_comodule(k)
