@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import ne, sub
 import re
 
 from .errors import MalformedInput
@@ -225,6 +227,61 @@ def vec_scale(c, u):
 
 def vec_is_zero(u) -> bool:
     return not any(u)
+
+
+# ---------------------------------------------------------------------------
+# integer lifts: exact law checks on plain Python ints
+
+
+def _rows(data) -> list:
+    """The innermost sequences of a nested tuple, in order."""
+    if data and isinstance(data[0], (tuple, list)):
+        return [row for x in data for row in _rows(x)]
+    return [data]
+
+
+def _renest(data, rows):
+    """The nesting of data with its innermost sequences taken from rows."""
+    if data and isinstance(data[0], (tuple, list)):
+        return tuple(_renest(x, rows) for x in data)
+    return next(rows)
+
+
+def lift_to_ints(field: FieldSpec, data) -> tuple:
+    """Lift a vector or nested tensor of field scalars to ints, once.
+
+    Returns (ints, scale) with the nesting kept and x == ints / scale
+    entrywise: over Q the numerators over the lcm of all denominators and
+    that lcm, over GF(p) the residues and 1.  A product of lifted factors
+    carries the product of their scales.
+    """
+    rows = _rows(data)
+    if field.kind != "rationals":
+        return _renest(data, iter([tuple([x.value for x in row]) for row in rows])), 1
+    scale = lcm(*{x.denominator for row in rows for x in row})
+    if scale == 1:
+        ints = [tuple([x.numerator for x in row]) for row in rows]
+    else:
+        ints = [tuple([x.numerator * (scale // x.denominator) for x in row]) for row in rows]
+    return _renest(data, iter(ints)), scale
+
+
+def ints_differ(p: int, u, su: int, v, sv: int) -> bool:
+    """Whether the int vectors u / su and v / sv differ over GF(p), or over Q when p == 0."""
+    if su != sv:
+        u, v = map(sv.__mul__, u), map(su.__mul__, v)
+    if p:
+        return any(map(p.__rmod__, map(sub, u, v)))
+    return any(map(ne, u, v))
+
+
+def ints_to_field(field: FieldSpec, data, scale: int):
+    """The field vector or nested tensor ints / scale (undoes `lift_to_ints`)."""
+    if field.kind == "rationals":
+        of = lambda x: Fraction(x, scale)
+    else:
+        of = lambda x: Mod(x, field.characteristic)
+    return _renest(data, iter([tuple([of(x) for x in row]) for row in _rows(data)]))
 
 
 class Matrix:

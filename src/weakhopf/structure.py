@@ -10,12 +10,17 @@ Tensor-square coordinates are row-major: the pair (j, k) sits at j*n + k.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .errors import MalformedInput, PreconditionError, Verdict, Violation
 from .exactla import (
     FieldSpec,
     Matrix,
     Subspace,
+    ints_differ,
+    ints_to_field,
     kernel_space,
+    lift_to_ints,
     vec_zero,
 )
 
@@ -166,91 +171,86 @@ def basis_product(a: FiniteAlgebra, i: int, j: int) -> tuple:
     return a.mult[i][j]
 
 
+def law_violations(field: FieldSpec, law: str, witness: tuple, u, su: int, v, sv: int) -> list:
+    """[] if the lifted int vectors u / su and v / sv agree, else their one Violation."""
+    if not ints_differ(field.characteristic, u, su, v, sv):
+        return []
+    return [Violation(law, witness, ints_to_field(field, u, su), ints_to_field(field, v, sv))]
+
+
 def check_algebra(a: FiniteAlgebra) -> Verdict:
-    """Associativity and unit law, exhaustively on basis tuples."""
+    """Associativity and unit law, exhaustively on basis tuples (on lifted ints)."""
     n = a.dim
     violations = []
-    mu = a.mult
-    nz = [
-        [tuple((k, c) for k, c in enumerate(mu[i][j]) if c) for j in range(n)]
-        for i in range(n)
-    ]
-    zero_vec = list(vec_zero(a.field, n))
+    mu, sm = lift_to_ints(a.field, a.mult)
+    nz = [[tuple((k, c) for k, c in enumerate(row) if c) for row in sl] for sl in mu]
     for i in range(n):
         for j in range(n):
-            ij = nz[i][j]
+            # (b_i b_j) b_k and b_i (b_j b_k) for every k, at k * n + l
+            lhs = [0] * (n * n)
+            rhs = [0] * (n * n)
             for k in range(n):
-                lhs = list(zero_vec)
-                for m, c in ij:
+                for m, c in nz[i][j]:
                     for l, d in nz[m][k]:
-                        lhs[l] = lhs[l] + c * d
-                rhs = list(zero_vec)
+                        lhs[k * n + l] += c * d
                 for m, c in nz[j][k]:
                     for l, d in nz[i][m]:
-                        rhs[l] = rhs[l] + c * d
-                if lhs != rhs:
-                    violations.append(
-                        Violation("associativity", (i, j, k), tuple(lhs), tuple(rhs))
-                    )
+                        rhs[k * n + l] += c * d
+            if ints_differ(a.field.characteristic, lhs, 1, rhs, 1):
+                for k in range(n):
+                    sides = (lhs[k * n:(k + 1) * n], sm * sm, rhs[k * n:(k + 1) * n], sm * sm)
+                    violations += law_violations(a.field, "associativity", (i, j, k), *sides)
+    unit, su = lift_to_ints(a.field, a.unit)
     for i in range(n):
-        e_i = tuple(
-            a.field.one if j == i else a.field.zero for j in range(n)
-        )
-        left = multiply(a, a.unit, e_i)
-        if left != e_i:
-            violations.append(Violation("unit-left", (i,), left, e_i))
-        right = multiply(a, e_i, a.unit)
-        if right != e_i:
-            violations.append(Violation("unit-right", (i,), right, e_i))
+        one = [int(t == i) for t in range(n)]
+        left = [0] * n
+        right = [0] * n
+        for x, u in enumerate(unit):
+            for k, c in nz[x][i]:
+                left[k] += u * c
+            for k, c in nz[i][x]:
+                right[k] += u * c
+        violations += law_violations(a.field, "unit-left", (i,), left, su * sm, one, 1)
+        violations += law_violations(a.field, "unit-right", (i,), right, su * sm, one, 1)
     return Verdict(tuple(violations))
 
 
 def check_coalgebra(c: FiniteCoalgebra) -> Verdict:
-    """Coassociativity and counit law, exhaustively on basis elements."""
+    """Coassociativity and counit law, exhaustively on basis elements (on lifted ints)."""
     n = c.dim
+    field = c.field
     violations = []
-    delta = c.comult
-    eps = c.counit
+    delta, sd = lift_to_ints(field, c.comult)
+    eps, se = lift_to_ints(field, c.counit)
     nz = [
-        tuple(
-            (j, k, delta[i][j][k])
-            for j in range(n)
-            for k in range(n)
-            if delta[i][j][k]
-        )
-        for i in range(n)
+        tuple((j, k, d) for j, row in enumerate(sl) for k, d in enumerate(row) if d)
+        for sl in delta
     ]
+
+    def terms(flat):
+        """The nonzero ((a, b, k), value) of an n^3 vector at scale sd^2, in order."""
+        values = ints_to_field(field, flat, sd * sd)
+        return [(key, x) for key, x in zip(product(range(n), repeat=3), values) if x]
+
     for i in range(n):
-        lhs = {}
-        rhs = {}
+        lhs = [0] * n ** 3
+        rhs = [0] * n ** 3
         for j, k, d in nz[i]:
             for a, b, e in nz[j]:
-                key = (a, b, k)
-                lhs[key] = lhs.get(key, c.field.zero) + d * e
-            for a, b, e2 in nz[k]:
-                key = (j, a, b)
-                rhs[key] = rhs.get(key, c.field.zero) + d * e2
-        lhs = {k: v for k, v in lhs.items() if v}
-        rhs = {k: v for k, v in rhs.items() if v}
-        if lhs != rhs:
-            violations.append(Violation("coassociativity", (i,), sorted(lhs.items()), sorted(rhs.items())))
+                lhs[(a * n + b) * n + k] += d * e
+            for a, b, e in nz[k]:
+                rhs[(j * n + a) * n + b] += d * e
+        if ints_differ(field.characteristic, lhs, 1, rhs, 1):
+            violations.append(Violation("coassociativity", (i,), terms(lhs), terms(rhs)))
     for i in range(n):
-        left = list(vec_zero(c.field, n))
-        right = list(vec_zero(c.field, n))
-        for j in range(n):
-            for k in range(n):
-                d = delta[i][j][k]
-                if not d:
-                    continue
-                if eps[j]:
-                    left[k] = left[k] + eps[j] * d
-                if eps[k]:
-                    right[j] = right[j] + eps[k] * d
-        e_i = tuple(c.field.one if j == i else c.field.zero for j in range(n))
-        if tuple(left) != e_i:
-            violations.append(Violation("counit-left", (i,), tuple(left), e_i))
-        if tuple(right) != e_i:
-            violations.append(Violation("counit-right", (i,), tuple(right), e_i))
+        one = [int(t == i) for t in range(n)]
+        left = [0] * n
+        right = [0] * n
+        for j, k, d in nz[i]:
+            left[k] += eps[j] * d
+            right[j] += eps[k] * d
+        violations += law_violations(field, "counit-left", (i,), left, se * sd, one, 1)
+        violations += law_violations(field, "counit-right", (i,), right, se * sd, one, 1)
     return Verdict(tuple(violations))
 
 

@@ -22,8 +22,10 @@ from .exactla import (
     Matrix,
     Subspace,
     column_space,
+    ints_to_field,
     kernel_basis,
     kernel_space,
+    lift_to_ints,
     solve,
     vec_unit,
     vec_zero,
@@ -37,6 +39,7 @@ from .structure import (
     coopposite,
     counit_of,
     dual,
+    law_violations,
     multiply,
     opposite,
 )
@@ -231,23 +234,6 @@ class WeakBialgebra:
         object.__setattr__(self, "_source_eps_rows", table)
         return table
 
-    def tensor_square_product(self, u, v):
-        """Product of u, v in the algebra H (x) H (row-major coordinates)."""
-        n = self.dim
-        mu_nz = self.mult_nz()
-        out = list(vec_zero(self.field, n * n))
-        nz_u = [(divmod(p, n), x) for p, x in enumerate(u) if x]
-        nz_v = [(divmod(q, n), y) for q, y in enumerate(v) if y]
-        for (a, b), x in nz_u:
-            for (c, d), y in nz_v:
-                xy = x * y
-                for m, p in mu_nz[a][c]:
-                    base = m * n
-                    cp = xy * p
-                    for l, q in mu_nz[b][d]:
-                        out[base + l] = out[base + l] + cp * q
-        return tuple(out)
-
     def with_antipode(self, s: Matrix) -> "WeakBialgebra":
         verdict = verify_antipode(self, s)
         if not verdict.ok:
@@ -302,18 +288,52 @@ def _combine_rows(field, coeffs, rows) -> tuple:
     return tuple(out)
 
 
-def _check_wh1(h_alg, h_coa, tsp) -> list[Violation]:
-    n = len(h_alg.labels)
+def _int_nonzeros(field, mult, comult):
+    """Sparse int lifts (mnz, sm, dnz, sd) of the structure tensors.
+
+    mnz[i][j] = ((k, c), ...) and dnz[i] = ((a, b, d), ...) list the nonzero
+    lifted constants; sm and sd are the scales of mult and comult.
+    """
+    mu, sm = lift_to_ints(field, mult)
+    delta, sd = lift_to_ints(field, comult)
+    mnz = [[tuple((k, c) for k, c in enumerate(row) if c) for row in sl] for sl in mu]
+    dnz = [
+        tuple((a, b, d) for a, row in enumerate(sl) for b, d in enumerate(row) if d)
+        for sl in delta
+    ]
+    return mnz, sm, dnz, sd
+
+
+def _check_wh1(field, mnz, sm, dnz, sd) -> list[Violation]:
+    """Delta(b_i b_j) = Delta(b_i) Delta(b_j) on lifted ints.
+
+    Delta(b_j) is formed once (dnz[j]); per i the products Delta(b_i)(b_c (x) b_d)
+    are formed once for each (c, d) in the support of some Delta(b_j).
+    """
+    n = len(mnz)
+    s_lhs, s_rhs = sm * sd, (sm * sd) ** 2
     violations = []
-    field = h_alg.field
     for i in range(n):
-        di = comultiply(h_coa, vec_unit(field, n, i))
+        prods = {}
         for j in range(n):
-            dj = comultiply(h_coa, vec_unit(field, n, j))
-            lhs = comultiply(h_coa, h_alg.mult[i][j])
-            rhs = tsp(di, dj)
-            if lhs != rhs:
-                violations.append(Violation("WH1", (i, j), lhs, rhs))
+            lhs = [0] * (n * n)
+            for k, c in mnz[i][j]:
+                for a, b, d in dnz[k]:
+                    lhs[a * n + b] += c * d
+            rhs = [0] * (n * n)
+            for c, d, y in dnz[j]:
+                terms = prods.get((c, d))
+                if terms is None:
+                    acc = [0] * (n * n)
+                    for a, b, x in dnz[i]:
+                        for m, q in mnz[a][c]:
+                            base, xq = m * n, x * q
+                            for l, r in mnz[b][d]:
+                                acc[base + l] += xq * r
+                    terms = prods[(c, d)] = [(idx, v) for idx, v in enumerate(acc) if v]
+                for idx, v in terms:
+                    rhs[idx] += y * v
+            violations += law_violations(field, "WH1", (i, j), lhs, s_lhs, rhs, s_rhs)
     return violations
 
 
@@ -352,60 +372,54 @@ def verify_weak_bialgebra(alg: FiniteAlgebra, coa: FiniteCoalgebra) -> Verdict:
 
     n = alg.dim
     field = alg.field
-    shell = WeakBialgebra.__new__(WeakBialgebra)
-    object.__setattr__(shell, "alg", alg)
-    object.__setattr__(shell, "coa", coa)
-
-    wh1 = _check_wh1(alg, coa, shell.tensor_square_product)
+    p = field.characteristic
+    mnz, sm, dnz, sd = _int_nonzeros(field, alg.mult, coa.comult)
+    wh1 = _check_wh1(field, mnz, sm, dnz, sd)
     if wh1:
         return Verdict(tuple(wh1))
 
     # (Delta(1) (x) 1)(1 (x) Delta(1)) = 1_(1) (x) 1_(2) 1_[1] (x) 1_[2] and
     # the reverse order multiplies the middle legs the other way around
-    d2_one = _delta2(coa, alg.unit)
-    d1 = comultiply(coa, alg.unit)
+    unit, su = lift_to_ints(field, alg.unit)
+    d1 = [0] * (n * n)
+    for x, u in enumerate(unit):
+        for j, k, d in dnz[x]:
+            d1[j * n + k] += u * d
     d1nz = [(divmod(idx, n), c) for idx, c in enumerate(d1) if c]
-    mu_nz = shell.mult_nz()
-    a = list(vec_zero(field, n * n * n))
-    b = list(vec_zero(field, n * n * n))
+    d2_one = [0] * n ** 3
+    first = [0] * n ** 3
+    second = [0] * n ** 3
     for (j, k), c in d1nz:
+        for jj, kk, d in dnz[j]:
+            d2_one[(jj * n + kk) * n + k] += c * d
         for (jp, kp), cp in d1nz:
             cc = c * cp
-            for m, q in mu_nz[k][jp]:
-                a[(j * n + m) * n + kp] = a[(j * n + m) * n + kp] + cc * q
-            for m, q in mu_nz[jp][k]:
-                b[(j * n + m) * n + kp] = b[(j * n + m) * n + kp] + cc * q
+            for m, q in mnz[k][jp]:
+                first[(j * n + m) * n + kp] += cc * q
+            for m, q in mnz[jp][k]:
+                second[(j * n + m) * n + kp] += cc * q
+    s_d2, s_ab = su * sd * sd, (su * sd) ** 2 * sm
     wh2 = []
-    if d2_one != tuple(a):
-        wh2.append(Violation("WH2", ("first",), d2_one, tuple(a)))
-    if d2_one != tuple(b):
-        wh2.append(Violation("WH2", ("second",), d2_one, tuple(b)))
+    for side, prod in (("first", first), ("second", second)):
+        wh2 += law_violations(field, "WH2", (side,), d2_one, s_d2, prod, s_ab)
     if wh2:
         return Verdict(tuple(wh2))
 
-    etable = shell.eps_pair_table()
-    eps = coa.counit
+    # etable[i][j] = eps(b_i b_j) at scale sm * se; lhs is brought to the rhs scale
+    eps, se = lift_to_ints(field, coa.counit)
+    etable = [[sum(c * eps[m] for m, c in row) for row in sl] for sl in mnz]
+    up, scale = sd * se, sd * (sm * se) ** 2
     wh3 = []
-    delta_nz = shell.comult_nz()
-    mult_nz = shell.mult_nz()
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                lhs = field.zero
-                for m, c in mult_nz[i][j]:
-                    if etable[m][k]:
-                        lhs = lhs + c * etable[m][k]
-                rhs_i = field.zero
-                rhs_ii = field.zero
-                for a_idx, b_idx, d in delta_nz[j]:
-                    if etable[i][a_idx] and etable[b_idx][k]:
-                        rhs_i = rhs_i + d * etable[i][a_idx] * etable[b_idx][k]
-                    if etable[i][b_idx] and etable[a_idx][k]:
-                        rhs_ii = rhs_ii + d * etable[i][b_idx] * etable[a_idx][k]
-                if lhs != rhs_i:
-                    wh3.append(Violation("WH3(i)", (i, j, k), lhs, rhs_i))
-                if lhs != rhs_ii:
-                    wh3.append(Violation("WH3(ii)", (i, j, k), lhs, rhs_ii))
+                lhs = sum(c * etable[m][k] for m, c in mnz[i][j]) * up
+                rhs_i = sum(d * etable[i][a] * etable[b][k] for a, b, d in dnz[j])
+                rhs_ii = sum(d * etable[i][b] * etable[a][k] for a, b, d in dnz[j])
+                for law, rhs in (("WH3(i)", rhs_i), ("WH3(ii)", rhs_ii)):
+                    if (lhs - rhs) % p if p else lhs != rhs:
+                        sides = ints_to_field(field, (lhs, rhs), scale)
+                        wh3.append(Violation(law, (i, j, k), *sides))
     return Verdict(tuple(wh3))
 
 
@@ -493,66 +507,44 @@ def counital(h: WeakBialgebra, which: str, x) -> tuple:
 
 
 def verify_antipode(h: WeakBialgebra, s: Matrix) -> Verdict:
-    """Check (WH4)(i)-(iii) exhaustively on basis elements."""
+    """Check (WH4)(i)-(iii) exhaustively on basis elements (on lifted ints)."""
     n = h.dim
     if s.rows != n or s.cols != n or s.field != h.field:
         raise MalformedInput("antipode matrix has the wrong shape or field")
     field = h.field
     violations = []
-    mu = h.mult
+    mnz, sm, dnz, sd = _int_nonzeros(field, h.mult, h.comult)
+    sv, ss = lift_to_ints(field, s.entries)
+    scol = [[(l, sv[l][b]) for l in range(n) if sv[l][b]] for b in range(n)]
+    et, st = lift_to_ints(field, h.eps_t.entries)
+    es, se = lift_to_ints(field, h.eps_s.entries)
+    s_12, s_3 = sd * ss * sm, (sd * ss * sm) ** 2
     for i in range(n):
-        flat = h.comultiply(vec_unit(field, n, i))
-        lhs_i = list(vec_zero(field, n))
-        lhs_ii = list(vec_zero(field, n))
-        for idx, c in enumerate(flat):
-            if not c:
-                continue
-            a, b = divmod(idx, n)
-            sb = s.col(b)
-            for l, coef in enumerate(sb):
-                if not coef:
-                    continue
-                for m, p in enumerate(mu[a][l]):
-                    if p:
-                        lhs_i[m] = lhs_i[m] + c * coef * p
-            sa = s.col(a)
-            for l, coef in enumerate(sa):
-                if not coef:
-                    continue
-                for m, p in enumerate(mu[l][b]):
-                    if p:
-                        lhs_ii[m] = lhs_ii[m] + c * coef * p
-        rhs_i = h.eps_t.col(i)
-        rhs_ii = h.eps_s.col(i)
-        if tuple(lhs_i) != rhs_i:
-            violations.append(Violation("WH4(i)", (i,), tuple(lhs_i), rhs_i))
-        if tuple(lhs_ii) != rhs_ii:
-            violations.append(Violation("WH4(ii)", (i,), tuple(lhs_ii), rhs_ii))
-        d2 = _delta2(h.coa, vec_unit(field, n, i))
-        lhs_iii = list(vec_zero(field, n))
-        for idx, c in enumerate(d2):
-            if not c:
-                continue
-            a, r = divmod(idx, n * n)
-            b, cc = divmod(r, n)
-            sa = s.col(a)
-            sc = s.col(cc)
-            for l, ca in enumerate(sa):
-                if not ca:
-                    continue
-                for m, p in enumerate(mu[l][b]):
-                    if not p:
-                        continue
-                    cm = c * ca * p
-                    for l2, cb in enumerate(sc):
-                        if not cb:
-                            continue
-                        for q, pq in enumerate(mu[m][l2]):
-                            if pq:
-                                lhs_iii[q] = lhs_iii[q] + cm * cb * pq
-        rhs_iii = s.col(i)
-        if tuple(lhs_iii) != rhs_iii:
-            violations.append(Violation("WH4(iii)", (i,), tuple(lhs_iii), rhs_iii))
+        lhs_i = [0] * n
+        lhs_ii = [0] * n
+        for a, b, c in dnz[i]:
+            for l, x in scol[b]:
+                for m, q in mnz[a][l]:
+                    lhs_i[m] += c * x * q
+            for l, x in scol[a]:
+                for m, q in mnz[l][b]:
+                    lhs_ii[m] += c * x * q
+        violations += law_violations(field, "WH4(i)", (i,), lhs_i, s_12, [r[i] for r in et], st)
+        violations += law_violations(field, "WH4(ii)", (i,), lhs_ii, s_12, [r[i] for r in es], se)
+        # S(b_a) b_b S(b_k) summed over (Delta (x) id) Delta(b_i)
+        d2 = {}
+        for j, k, c in dnz[i]:
+            for a, b, d in dnz[j]:
+                d2[(a, b, k)] = d2.get((a, b, k), 0) + c * d
+        lhs_iii = [0] * n
+        for (a, b, k), c in d2.items():
+            for l, x in scol[a]:
+                for m, q in mnz[l][b]:
+                    cm = c * x * q
+                    for l2, y in scol[k]:
+                        for r, t in mnz[m][l2]:
+                            lhs_iii[r] += cm * y * t
+        violations += law_violations(field, "WH4(iii)", (i,), lhs_iii, s_3, [r[i] for r in sv], ss)
     return Verdict(tuple(violations))
 
 

@@ -56,7 +56,11 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 def _report(num, name, t0, bound):
     elapsed = time.perf_counter() - t0
-    print(f"ACCEPTANCE {num} {name}: PASS ({elapsed:.2f} s < {bound} s)", flush=True)
+    if elapsed < bound:
+        outcome = f"PASS ({elapsed:.2f} s < {bound} s)"
+    else:
+        outcome = f"FAIL ({elapsed:.2f} s >= {bound} s)"
+    print(f"ACCEPTANCE {num} {name}: {outcome}", flush=True)
     assert elapsed < bound, f"criterion {num} exceeded its {bound} s budget"
 
 
@@ -148,7 +152,33 @@ def witness_violates(alg, coa, violation, antipode=None) -> bool:
         rhs = _tensor_mult(alg, comultiply(coa, e(i)), comultiply(coa, e(j)))
         return lhs != rhs
     if law == "WH2":
-        return True  # no witness indices beyond the side marker; trusted via WH1-style recheck below
+        # Delta^2(1) against (Delta(1) (x) 1)(1 (x) Delta(1)) for "first" and
+        # (1 (x) Delta(1))(Delta(1) (x) 1) for "second", as vectors of H^(x)3
+        (side,) = w
+        one = comultiply(coa, alg.unit)
+        d2 = {}
+        for idx, c in enumerate(one):
+            if not c:
+                continue
+            a, b = divmod(idx, n)
+            for jdx, d in enumerate(comultiply(coa, e(a))):
+                if d:
+                    x, y = divmod(jdx, n)
+                    d2[(x, y, b)] = d2.get((x, y, b), field.zero) + c * d
+        prod = {}
+        for idx, c in enumerate(one):
+            for jdx, d in enumerate(one):
+                if not (c and d):
+                    continue
+                a, b = divmod(idx, n)
+                x, y = divmod(jdx, n)
+                # first: 1_(1) (x) 1_(2) 1'_(1) (x) 1'_(2)
+                # second: 1_(1) (x) 1'_(1) 1_(2) (x) 1'_(2)
+                mid = multiply(alg, e(b), e(x)) if side == "first" else multiply(alg, e(x), e(b))
+                for m, v in enumerate(mid):
+                    if v:
+                        prod[(a, m, y)] = prod.get((a, m, y), field.zero) + c * d * v
+        return {k: v for k, v in d2.items() if v} != {k: v for k, v in prod.items() if v}
     if law in ("WH3(i)", "WH3(ii)"):
         i, j, k = w
         eps = lambda v: counit_of(coa, v)

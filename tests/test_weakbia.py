@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from weakhopf.errors import AxiomViolation, MalformedInput
-from weakhopf.exactla import QQ, Matrix
+from weakhopf.exactla import GF, QQ, Matrix
+from weakhopf.fixtures import preset
 from weakhopf.structure import FiniteAlgebra, FiniteCoalgebra, dual
 from weakhopf.weakbia import (
     build_weak_bialgebra,
@@ -94,6 +95,34 @@ def test_wh3_violation_detected():
     assert not verdict.ok
     assert {v.law for v in verdict.violations} == {"WH3(i)", "WH3(ii)"}
     assert (1, 0, 1) in {v.witness for v in verdict.violations}
+
+
+def test_wh2_violation_detected():
+    # x^2 = x, Delta(x) = x (x) x, Delta(1) = 1 (x) x + x (x) 1 + 2 x (x) x and
+    # eps = (1, 1) over GF(3) pass the structure laws and WH1, but Delta^2(1)
+    # = 1xx + x1x + xx1 + xxx while both products of Delta(1) (x) 1 and
+    # 1 (x) Delta(1) give 1x1 + x1x + 2 xxx (the algebra is commutative)
+    from test_acceptance import witness_violates
+
+    f = GF(3)
+    mult = [[[1, 0], [0, 1]], [[0, 1], [0, 1]]]
+    comult = [[[0, 1], [1, 2]], [[0, 0], [0, 1]]]
+    alg = FiniteAlgebra(f, ["1", "x"], mult, [1, 0])
+    coa = FiniteCoalgebra(f, ["1", "x"], comult, [1, 1])
+    verdict = verify_weak_bialgebra(alg, coa)
+    assert [(v.law, v.witness) for v in verdict.violations] == [
+        ("WH2", ("first",)),
+        ("WH2", ("second",)),
+    ]
+    d2_one = tuple(f.of(x) for x in (0, 0, 0, 1, 0, 1, 1, 1))
+    product = tuple(f.of(x) for x in (0, 0, 1, 0, 0, 1, 0, 2))
+    for v in verdict.violations:
+        assert (v.lhs, v.rhs) == (d2_one, product)
+        assert witness_violates(alg, coa, v)
+    # the oracle rejects a (WH2) witness where the law holds
+    assert not witness_violates(preset("gpd2").alg, preset("gpd2").coa, verdict.violations[0])
+    with pytest.raises(AxiomViolation):
+        build_weak_bialgebra(alg, coa)
 
 
 def test_lemma_suite_all_fixtures(k, c2, gpd2, sum_wba, z3gf2):
