@@ -7,6 +7,9 @@ modulo the balancing relators (m.y) (x) n - m (x) (y.n), carried concretely as
 canonical quotient data (representative indices, projection, section).  Every
 constructed comodule re-verifies its own axioms; induced maps are verified to
 descend to the quotient before they are accepted.
+
+Coactions, action tensors, relators and quotient data are sparse `Matrix`
+and `Subspace` objects, built from their nonzeros and read through them.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from .errors import (
 from .exactla import (
     Matrix,
     Subspace,
+    _kernel_nz,
     inverse,
-    kernel_basis,
     quotient_basis,
     vec_unit,
     vec_zero,
@@ -50,18 +53,8 @@ def _coaction_nonzeros(h: WeakBialgebra, dim: int, coaction: Matrix) -> tuple:
             f"coaction must be {dim * n}x{dim}, got {coaction.rows}x{coaction.cols}"
         )
     return tuple(
-        tuple((divmod(r, n), c) for r, c in col) for col in _nonzero_columns(coaction)
+        tuple([(divmod(r, n), c) for r, c in col]) for col in coaction.col_nz()
     )
-
-
-def _nonzero_columns(mat: Matrix) -> list:
-    """Per column c, the nonzero entries (r, x) of mat, by row."""
-    cols = [[] for _ in range(mat.cols)]
-    for r, row in enumerate(mat.entries):
-        for c, x in enumerate(row):
-            if x:
-                cols[c].append((r, x))
-    return cols
 
 
 def _coaction_nz_verdict(h: WeakBialgebra, dim: int, nz) -> Verdict:
@@ -90,21 +83,21 @@ def _coaction_nz_verdict(h: WeakBialgebra, dim: int, nz) -> Verdict:
     # counit: (id (x) eps) rho = id
     eps = h.counit
     for i in range(dim):
-        acc = list(vec_zero(field, dim))
+        acc = {}
         for (a, j), c in nz[i]:
             if eps[j]:
-                acc[a] = acc[a] + c * eps[j]
+                acc[a] = acc.get(a, z) + c * eps[j]
         if not _is_unit_vector(acc, i, one):
             violations.append(
-                Violation("comodule counit", (i,), tuple(acc), vec_unit(field, dim, i))
+                Violation("comodule counit", (i,), _dense(acc, dim, z), vec_unit(field, dim, i))
             )
     if violations:
         return Verdict(tuple(violations))
     # 2.5(3)(iii) via the double expansion (coassociativity already holds)
     left_pairs, right_pairs = h.counital_pair_tables()
     for i in range(dim):
-        left = [z] * dim
-        right = [z] * dim
+        left = {}
+        right = {}
         for (a, j), c in nz[i]:
             lp = left_pairs[j]
             rp = right_pairs[j]
@@ -114,23 +107,30 @@ def _coaction_nz_verdict(h: WeakBialgebra, dim: int, nz) -> Verdict:
                 if es or er:
                     cc = c * c2
                     if es:
-                        left[a2] = left[a2] + cc * es
+                        left[a2] = left.get(a2, z) + cc * es
                     if er:
-                        right[a2] = right[a2] + cc * er
+                        right[a2] = right.get(a2, z) + cc * er
         if not _is_unit_vector(left, i, one):
             violations.append(
-                Violation("2.5(3)(iii) left", (i,), tuple(left), vec_unit(field, dim, i))
+                Violation("2.5(3)(iii) left", (i,), _dense(left, dim, z), vec_unit(field, dim, i))
             )
         if not _is_unit_vector(right, i, one):
             violations.append(
-                Violation("2.5(3)(iii) right", (i,), tuple(right), vec_unit(field, dim, i))
+                Violation("2.5(3)(iii) right", (i,), _dense(right, dim, z), vec_unit(field, dim, i))
             )
     return Verdict(tuple(violations))
 
 
-def _is_unit_vector(vec, i, one) -> bool:
-    """vec is the i-th standard basis vector."""
-    return vec[i] == one and not any(vec[:i]) and not any(vec[i + 1:])
+def _is_unit_vector(acc: dict, i, one) -> bool:
+    """The vector with entries {index: value} is the i-th standard basis vector."""
+    return acc.get(i) == one and (len(acc) == 1 or not any(x for a, x in acc.items() if a != i))
+
+
+def _dense(acc: dict, dim: int, z) -> tuple:
+    out = [z] * dim
+    for a, x in acc.items():
+        out[a] = x
+    return tuple(out)
 
 
 class Comodule:
@@ -151,18 +151,18 @@ class Comodule:
         left = []
         right = []
         for y_left, y_right in over.source_eps_rows():
-            lm = [[z] * dim for _ in range(dim)]
-            rm = [[z] * dim for _ in range(dim)]
+            lm = [{} for _ in range(dim)]
+            rm = [{} for _ in range(dim)]
             for b in range(dim):
                 for (a, j), c in nz[b]:
                     el = y_left[j]
                     if el:
-                        lm[a][b] = lm[a][b] + c * el
+                        lm[a][b] = lm[a].get(b, z) + c * el
                     er = y_right[j]
                     if er:
-                        rm[a][b] = rm[a][b] + c * er
-            left.append(Matrix._raw(over.field, lm, dim))
-            right.append(Matrix._raw(over.field, rm, dim))
+                        rm[a][b] = rm[a].get(b, z) + c * er
+            left.append(Matrix._from_dicts(over.field, lm, dim))
+            right.append(Matrix._from_dicts(over.field, rm, dim))
         object.__setattr__(self, "left_act", tuple(left))
         object.__setattr__(self, "right_act", tuple(right))
 
@@ -229,20 +229,12 @@ class ComoduleMap:
     def is_isomorphism(self) -> bool:
         return inverse(self.matrix) is not None
 
-    def inverse_map(self) -> "ComoduleMap":
-        inv = inverse(self.matrix)
-        if inv is None:
-            raise PreconditionError("map is not invertible")
-        return ComoduleMap(self.target, self.source, inv)
-
 
 def comodule_map_verdict(source: Comodule, target: Comodule, matrix: Matrix) -> Verdict:
     """Check the intertwining law and the induced bimodule-map property."""
     h = source.over
-    n = h.dim
-    field = h.field
-    z = field.zero
-    fcols = _nonzero_columns(matrix)
+    z = h.field.zero
+    fcols = matrix.col_nz()
     violations = []
     for i in range(source.dim):
         lhs = {}
@@ -282,8 +274,7 @@ def unit_comodule(h: WeakBialgebra) -> Comodule:
     field = h.field
     hs = h.hs
     s = hs.dim
-    z = field.zero
-    rows = [[z] * s for _ in range(s * n)]
+    rows = [{} for _ in range(s * n)]
     for r, y in enumerate(hs.basis):
         flat = h.comultiply(y)
         grid = [[flat[j * n + k] for k in range(n)] for j in range(n)]
@@ -297,7 +288,7 @@ def unit_comodule(h: WeakBialgebra) -> Comodule:
             for c, coef in enumerate(coords):
                 if coef:
                     rows[c * n + k][r] = coef
-    return Comodule(h, s, Matrix(field, rows, cols=s))
+    return Comodule(h, s, Matrix._from_dicts(field, rows, s))
 
 
 def bimodule_action(c: Comodule, side: str, y, m) -> tuple:
@@ -338,8 +329,8 @@ class TensorComodule(Comodule):
         amb = m * p
         gens = {}
         for rm, ln in zip(left.right_act, right.left_act):
-            rcols = _nonzero_columns(rm)
-            lcols = _nonzero_columns(ln)
+            rcols = rm.col_nz()
+            lcols = ln.col_nz()
             for a in range(m):
                 for b in range(p):
                     w = {}
@@ -350,16 +341,10 @@ class TensorComodule(Comodule):
                     key = tuple(sorted((k, v) for k, v in w.items() if v))
                     if key:
                         gens[key] = None
-        dense = []
-        for key in gens:
-            w = [z] * amb
-            for k, v in key:
-                w[k] = v
-            dense.append(tuple(w))
-        relators = Subspace(field, amb, dense, assume_canonical=True)
+        relators = Subspace.row_space(Matrix._sparse(field, tuple(gens), amb))
         reps, projection, section = quotient_basis(amb, relators)
         t = len(reps)
-        proj_cols = _nonzero_columns(projection)
+        proj_cols = projection.col_nz()
         mu_nz = h.mult_nz()
         left_nz, right_nz = left._nz, right._nz
 
@@ -379,19 +364,20 @@ class TensorComodule(Comodule):
             return {k: v for k, v in out.items() if v}
 
         # descent: the coaction must map relators into relators (x) H
-        for v in relators.basis:
-            for (pair, l), coef in big_coaction([(ab, x) for ab, x in enumerate(v) if x]).items():
+        for v in relators.nz:
+            for (pair, l), coef in big_coaction(v).items():
                 for _, pc in proj_cols[pair]:
                     if pc * coef:
                         raise InternalInconsistency(
                             "tensor coaction does not descend to the quotient"
                         )
-        rows = [[z] * t for _ in range(t * n)]
+        rows = [{} for _ in range(t * n)]
         for q, f in enumerate(reps):
             for (pair, l), coef in big_coaction([(f, field.one)]).items():
                 for q2, pc in proj_cols[pair]:
-                    rows[q2 * n + l][q] = rows[q2 * n + l][q] + pc * coef
-        coaction = Matrix._raw(field, rows, t)
+                    row = rows[q2 * n + l]
+                    row[q] = row.get(q, z) + pc * coef
+        coaction = Matrix._from_dicts(field, rows, t)
         object.__setattr__(self, "factors", (left, right))
         object.__setattr__(self, "relators", relators)
         object.__setattr__(self, "reps", reps)
@@ -435,39 +421,24 @@ def unitors(c: Comodule):
     if one_s is None:
         raise InternalInconsistency("the unit escaped H_s")
 
+    # y_r (x) m_b sits at r*m + b in unit (x) c, and m_b (x) y_r at b*s + r in c (x) unit
     lm = tensor_over_source(unit_c, c)
-    z = field.zero
-    act_eval = [[z] * (s * m) for _ in range(m)]
-    for r in range(s):
-        col_base = r * m
-        la = c.left_act[r]
-        for b in range(m):
-            for a2 in range(m):
-                if la.entries[a2][b]:
-                    act_eval[a2][col_base + b] = la.entries[a2][b]
-    l_mat = Matrix._raw(field, act_eval, s * m).mul(lm.section)
-    back = [[z] * m for _ in range(s * m)]
-    for r, coef in enumerate(one_s):
-        if coef:
-            for b in range(m):
-                back[r * m + b][b] = coef
-    l_inv_mat = lm.projection.mul(Matrix._raw(field, back, m))
+    act_eval = [
+        tuple([(r * m + b, x) for r in range(s) for b, x in c.left_act[r].nz[a2]])
+        for a2 in range(m)
+    ]
+    l_mat = Matrix._sparse(field, tuple(act_eval), s * m).mul(lm.section)
+    back = [((b, coef),) if coef else () for coef in one_s for b in range(m)]
+    l_inv_mat = lm.projection.mul(Matrix._sparse(field, tuple(back), m))
 
     rm = tensor_over_source(c, unit_c)
-    act_eval2 = [[z] * (m * s) for _ in range(m)]
-    for b in range(m):
-        for r in range(s):
-            ra = c.right_act[r]
-            for a2 in range(m):
-                if ra.entries[a2][b]:
-                    act_eval2[a2][b * s + r] = ra.entries[a2][b]
-    r_mat = Matrix._raw(field, act_eval2, m * s).mul(rm.section)
-    back2 = [[z] * m for _ in range(m * s)]
-    for b in range(m):
-        for r, coef in enumerate(one_s):
-            if coef:
-                back2[b * s + r][b] = coef
-    r_inv_mat = rm.projection.mul(Matrix._raw(field, back2, m))
+    act_eval2 = [
+        tuple(sorted((b * s + r, x) for r in range(s) for b, x in c.right_act[r].nz[a2]))
+        for a2 in range(m)
+    ]
+    r_mat = Matrix._sparse(field, tuple(act_eval2), m * s).mul(rm.section)
+    back2 = [((b, coef),) if coef else () for b in range(m) for coef in one_s]
+    r_inv_mat = rm.projection.mul(Matrix._sparse(field, tuple(back2), m))
 
     l = ComoduleMap(lm, c, l_mat)
     l_inv = ComoduleMap(c, lm, l_inv_mat)
@@ -607,96 +578,67 @@ def comodule_hom_basis(m: Comodule, n_c: Comodule) -> list[Matrix]:
     field = h.field
     tm, tn = m.dim, n_c.dim
     unknowns = tn * tm
+    z = field.zero
     rows = []
+    coaction_nz = n_c.coaction.nz
     for i in range(tm):
         for a in range(tn):
             for j in range(n):
-                row = [field.zero] * unknowns
-                ridx = a * n + j
-                for b in range(tn):
-                    c = n_c.coaction.entries[ridx][b]
-                    if c:
-                        row[b * tm + i] = row[b * tm + i] + c
+                row = {}
+                for b, c in coaction_nz[a * n + j]:
+                    row[b * tm + i] = row.get(b * tm + i, z) + c
                 for (a2, j2), c in m.coact_nonzeros(i):
                     if j2 == j:
-                        row[a * tm + a2] = row[a * tm + a2] - c
-                if any(row):
+                        row[a * tm + a2] = row.get(a * tm + a2, z) - c
+                if any(row.values()):
                     rows.append(row)
     if not rows:
-        basis = [vec_unit(field, unknowns, i) for i in range(unknowns)]
+        basis = [((i, field.one),) for i in range(unknowns)]
     else:
-        basis = kernel_basis(Matrix(field, rows, cols=unknowns))
+        basis = _kernel_nz(Matrix._from_dicts(field, rows, unknowns))
     out = []
     for flat in basis:
-        out.append(
-            Matrix(field, [[flat[r * tm + c] for c in range(tm)] for r in range(tn)], cols=tm)
-        )
+        grid = [[] for _ in range(tn)]
+        for idx, x in flat:
+            r, c = divmod(idx, tm)
+            grid[r].append((c, x))
+        out.append(Matrix._sparse(field, tuple(map(tuple, grid)), tm))
     return out
 
 
 def check_lemma25(c: Comodule) -> Verdict:
     """Lemma 2.5(3)(i)-(ii): the coaction is an (H_s, H_s)-bimodule map."""
     h = c.over
-    n = h.dim
-    field = h.field
+    z = h.field.zero
     for r, y in enumerate(h.hs.basis):
-        ly = _left_mult(h, y)
-        ry = _right_mult(h, y)
+        ly = h.mult_matrix(y).col_nz()
+        ry = h.mult_matrix(y, right=True).col_nz()
+        l_act = c.left_act[r].col_nz()
+        r_act = c.right_act[r].col_nz()
         for b in range(c.dim):
             lhs = {}
-            for b2, coef in enumerate(c.left_act[r].col(b)):
-                if coef:
-                    for (a, j), cc in c.coact_nonzeros(b2):
-                        key = (a, j)
-                        lhs[key] = lhs.get(key, field.zero) + coef * cc
+            for b2, coef in l_act[b]:
+                for (a, j), cc in c.coact_nonzeros(b2):
+                    key = (a, j)
+                    lhs[key] = lhs.get(key, z) + coef * cc
             rhs = {}
             for (a, j), cc in c.coact_nonzeros(b):
-                for j2, p in enumerate(ly.col(j)):
-                    if p:
-                        key = (a, j2)
-                        rhs[key] = rhs.get(key, field.zero) + cc * p
+                for j2, p in ly[j]:
+                    key = (a, j2)
+                    rhs[key] = rhs.get(key, z) + cc * p
             if {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}:
                 return Verdict((Violation("2.5(3)(i)", (r, b), sorted(lhs.items()), sorted(rhs.items())),))
             lhs = {}
-            for b2, coef in enumerate(c.right_act[r].col(b)):
-                if coef:
-                    for (a, j), cc in c.coact_nonzeros(b2):
-                        key = (a, j)
-                        lhs[key] = lhs.get(key, field.zero) + coef * cc
+            for b2, coef in r_act[b]:
+                for (a, j), cc in c.coact_nonzeros(b2):
+                    key = (a, j)
+                    lhs[key] = lhs.get(key, z) + coef * cc
             rhs = {}
             for (a, j), cc in c.coact_nonzeros(b):
-                for j2, p in enumerate(ry.col(j)):
-                    if p:
-                        key = (a, j2)
-                        rhs[key] = rhs.get(key, field.zero) + cc * p
+                for j2, p in ry[j]:
+                    key = (a, j2)
+                    rhs[key] = rhs.get(key, z) + cc * p
             if {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}:
                 return Verdict((Violation("2.5(3)(ii)", (r, b), sorted(lhs.items()), sorted(rhs.items())),))
     return Verdict.passing()
 
-
-def _left_mult(h: WeakBialgebra, x) -> Matrix:
-    n = h.dim
-    z = h.field.zero
-    out = [[z] * n for _ in range(n)]
-    for i, c in enumerate(x):
-        if not c:
-            continue
-        for j in range(n):
-            for k, p in enumerate(h.mult[i][j]):
-                if p:
-                    out[k][j] = out[k][j] + c * p
-    return Matrix._raw(h.field, out, n)
-
-
-def _right_mult(h: WeakBialgebra, x) -> Matrix:
-    n = h.dim
-    z = h.field.zero
-    out = [[z] * n for _ in range(n)]
-    for i, c in enumerate(x):
-        if not c:
-            continue
-        for j in range(n):
-            for k, p in enumerate(h.mult[j][i]):
-                if p:
-                    out[k][j] = out[k][j] + c * p
-    return Matrix._raw(h.field, out, n)

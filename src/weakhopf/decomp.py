@@ -109,16 +109,7 @@ class LeftModule:
 
 def regular_module(h: WeakBialgebra) -> LeftModule:
     n = h.dim
-    z = h.field.zero
-    actions = []
-    for i in range(n):
-        rows = [[z] * n for _ in range(n)]
-        for j in range(n):
-            for k, c in enumerate(h.mult[i][j]):
-                if c:
-                    rows[k][j] = c
-        actions.append(Matrix(h.field, rows, cols=n))
-    return LeftModule(h, n, actions)
+    return LeftModule(h, n, [h.mult_matrix(vec_unit(h.field, n, i)) for i in range(n)])
 
 
 def _block_diag_tensor(field, tensors, dims):
@@ -138,17 +129,12 @@ def _block_diag_tensor(field, tensors, dims):
 
 
 def _block_diag_matrix(field, mats) -> Matrix:
-    n = sum(m.rows for m in mats)
-    z = field.zero
-    rows = [[z] * n for _ in range(n)]
+    rows = []
     off = 0
     for m in mats:
-        for i in range(m.rows):
-            for j in range(m.cols):
-                if m.entries[i][j]:
-                    rows[off + i][off + j] = m.entries[i][j]
+        rows.extend(tuple([(off + j, x) for j, x in row]) for row in m.nz)
         off += m.rows
-    return Matrix(field, rows, cols=n)
+    return Matrix._sparse(field, tuple(rows), off)
 
 
 def direct_sum(*summands: WeakBialgebra) -> WeakBialgebra:
@@ -188,16 +174,10 @@ def direct_sum(*summands: WeakBialgebra) -> WeakBialgebra:
     projs = []
     idems = []
     off = 0
-    z = field.zero
     for s, d in zip(summands, dims):
-        erows = [[z] * d for _ in range(n)]
-        prows = [[z] * n for _ in range(d)]
-        for r in range(d):
-            erows[off + r][r] = field.one
-            prows[r][off + r] = field.one
-        emb = Matrix(field, erows, cols=d)
+        emb = Matrix.from_cols(field, [vec_unit(field, n, off + r) for r in range(d)], rows=n)
         embeds.append(emb)
-        projs.append(Matrix(field, prows, cols=n))
+        projs.append(emb.transpose())
         idems.append(emb.apply(s.unit))
         off += d
     ht_expected = Subspace(
@@ -218,35 +198,19 @@ def direct_sum(*summands: WeakBialgebra) -> WeakBialgebra:
     )
 
 
-def _left_mult_matrix(h: WeakBialgebra, x) -> Matrix:
-    n = h.dim
-    z = h.field.zero
-    out = [[z] * n for _ in range(n)]
-    for i, c in enumerate(x):
-        if not c:
-            continue
-        for j in range(n):
-            for k, p in enumerate(h.mult[i][j]):
-                if p:
-                    out[k][j] = out[k][j] + c * p
-    return Matrix(h.field, out, cols=n)
-
-
 def _tensor_component(h: WeakBialgebra, u, left_mat: Matrix, right_mat: Matrix):
     n = h.dim
-    field = h.field
+    z = h.field.zero
+    left_cols, right_cols = left_mat.col_nz(), right_mat.col_nz()
     out = {}
     for idx, c in enumerate(u):
         if not c:
             continue
         a, b = divmod(idx, n)
-        for a2, x in enumerate(left_mat.col(a)):
-            if not x:
-                continue
-            for b2, y in enumerate(right_mat.col(b)):
-                if y:
-                    key = a2 * n + b2
-                    out[key] = out.get(key, field.zero) + c * x * y
+        for a2, x in left_cols[a]:
+            for b2, y in right_cols[b]:
+                key = a2 * n + b2
+                out[key] = out.get(key, z) + c * x * y
     return {k: v for k, v in out.items() if v}
 
 
@@ -553,20 +517,17 @@ def _split_pieces(h: WeakBialgebra, k_space: Subspace):
 def _restrict_block(h: WeakBialgebra, e):
     """The weak bialgebra on eH with its embedding and projection."""
     field = h.field
-    ml = _left_mult_matrix(h, e)
+    ml = h.mult_matrix(e)
     space = column_space(ml)
     d = space.dim
     emb = space.basis_matrix()
-    prows = []
-    for r in range(d):
-        prows.append([field.zero] * h.dim)
+    coord_cols = []
     for j in range(h.dim):
         coords = space.coords_of(ml.col(j))
         if coords is None:
             raise InternalInconsistency("left multiplication left the block")
-        for r, c in enumerate(coords):
-            prows[r][j] = c
-    proj = Matrix(field, prows, cols=h.dim)
+        coord_cols.append(coords)
+    proj = Matrix.from_cols(field, coord_cols, rows=d)
     labels = []
     for r, v in enumerate(space.basis):
         std = [i for i, c in enumerate(v) if c]
@@ -639,7 +600,7 @@ def _restrict_block(h: WeakBialgebra, e):
 def _delta_block_condition(h: WeakBialgebra, e) -> bool:
     """Delta(e) in eH (x) eH, tested with complement projections."""
     comp = vec_sub(tuple(h.unit), e)
-    ml_comp = _left_mult_matrix(h, comp)
+    ml_comp = h.mult_matrix(comp)
     ident = Matrix.identity(h.field, h.dim)
     u = h.comultiply(e)
     if _tensor_component(h, u, ml_comp, ident):
@@ -689,6 +650,8 @@ def _verify_reassembly(h: WeakBialgebra, rebuilt: WeakBialgebra, change: Matrix)
     if inv is None:
         raise InternalInconsistency("block bases do not span")
     n = h.dim
+    z = field.zero
+    inv_cols = inv.col_nz()
     for i in range(n):
         for j in range(n):
             prod = h.multiply(change.col(i), change.col(j))
@@ -702,13 +665,10 @@ def _verify_reassembly(h: WeakBialgebra, rebuilt: WeakBialgebra, change: Matrix)
             if not c:
                 continue
             a, b = divmod(idx, n)
-            for a2, x in enumerate(inv.col(a)):
-                if not x:
-                    continue
-                for b2, y in enumerate(inv.col(b)):
-                    if y:
-                        key = (a2, b2)
-                        pulled[key] = pulled.get(key, field.zero) + c * x * y
+            for a2, x in inv_cols[a]:
+                for b2, y in inv_cols[b]:
+                    key = (a2, b2)
+                    pulled[key] = pulled.get(key, z) + c * x * y
         pulled = {k: v for k, v in pulled.items() if v}
         expected = {}
         for a in range(n):
@@ -768,7 +728,7 @@ def decompose(h: WeakBialgebra) -> DecompositionReport:
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
 
-    mls = [_left_mult_matrix(h, p) for p in prims]
+    mls = [h.mult_matrix(p) for p in prims]
     for k in range(r):
         u = h.comultiply(prims[k])
         for i in range(r):
@@ -866,15 +826,13 @@ def split_module(h: WeakBialgebra, mod: LeftModule, blocks: BlockData | None = N
             for i, c in enumerate(amb):
                 if c:
                     big = big.add(mod.actions[i].scale(c))
-            rows = [[field.zero] * space.dim for _ in range(space.dim)]
-            for b, v in enumerate(space.basis):
-                img = big.apply(v)
-                coords = space.coords_of(img)
+            coord_cols = []
+            for v in space.basis:
+                coords = space.coords_of(big.apply(v))
                 if coords is None:
                     raise InternalInconsistency("block action left its piece")
-                for a, x in enumerate(coords):
-                    rows[a][b] = x
-            actions.append(Matrix(field, rows, cols=space.dim))
+                coord_cols.append(coords)
+            actions.append(Matrix.from_cols(field, coord_cols, rows=space.dim))
         pieces.append(LeftModule(s, space.dim, actions))
     if sum(p.dim for p in pieces) != mod.dim:
         raise InternalInconsistency("piece dimensions do not add up")
@@ -897,23 +855,16 @@ def _verify_module_reassembly(h, mod, data, pieces, spaces):
     for p in pieces:
         offs.append(off)
         off += p.dim
+    z = field.zero
     for i in range(h.dim):
-        z = field.zero
-        rows = [[z] * mod.dim for _ in range(mod.dim)]
-        for p_idx, (piece, proj) in enumerate(zip(pieces, data.projections)):
-            coords = proj.col(i)
-            for r, c in enumerate(coords):
-                if not c:
-                    continue
-                mat = piece.actions[r]
-                for a in range(piece.dim):
-                    for b in range(piece.dim):
-                        if mat.entries[a][b]:
-                            rows[offs[p_idx] + a][offs[p_idx] + b] = (
-                                rows[offs[p_idx] + a][offs[p_idx] + b]
-                                + c * mat.entries[a][b]
-                            )
-        g_act = Matrix(field, rows, cols=mod.dim)
+        rows = [{} for _ in range(mod.dim)]
+        for off, piece, proj in zip(offs, pieces, data.projections):
+            for r, c in proj.col_nz()[i]:
+                for a, row in enumerate(piece.actions[r].nz):
+                    acc = rows[off + a]
+                    for b, x in row:
+                        acc[off + b] = acc.get(off + b, z) + c * x
+        g_act = Matrix._from_dicts(field, rows, mod.dim)
         transported = inv.mul(mod.actions[i]).mul(change)
         if g_act != transported:
             raise InternalInconsistency("module reassembly differs from the original")
@@ -925,32 +876,31 @@ def split_comodule(h: WeakBialgebra, com: Comodule, blocks: BlockData | None = N
     if com.over is not h:
         raise MalformedInput("comodule is not over the given weak bialgebra")
     field = h.field
+    z = field.zero
     n = h.dim
     pieces = []
     spaces = []
     for s, emb, proj in zip(data.summands, data.embeddings, data.projections):
         e = emb.apply(s.unit)
-        ml = _left_mult_matrix(h, e)
+        ml = h.mult_matrix(e)
         gamma = [h.counit_of(ml.col(j)) for j in range(n)]
-        q = [[field.zero] * com.dim for _ in range(com.dim)]
+        q = [{} for _ in range(com.dim)]
         for b in range(com.dim):
             for (a, j), c in com.coact_nonzeros(b):
                 if gamma[j]:
-                    q[a][b] = q[a][b] + c * gamma[j]
-        space = column_space(Matrix(field, q, cols=com.dim))
+                    q[a][b] = q[a].get(b, z) + c * gamma[j]
+        space = column_space(Matrix._from_dicts(field, q, com.dim))
         spaces.append(space)
         nk = s.dim
-        rows = [[field.zero] * space.dim for _ in range(space.dim * nk)]
-        for b, v in enumerate(space.basis):
+        proj_cols = proj.col_nz()
+        rows = [{} for _ in range(space.dim * nk)]
+        for b, v in enumerate(space.nz):
             acc = {}
-            for i, x in enumerate(v):
-                if not x:
-                    continue
+            for i, x in v:
                 for (a, j), c in com.coact_nonzeros(i):
-                    for r2, p in enumerate(proj.col(j)):
-                        if p:
-                            key = (a, r2)
-                            acc[key] = acc.get(key, field.zero) + x * c * p
+                    for r2, p in proj_cols[j]:
+                        key = (a, r2)
+                        acc[key] = acc.get(key, z) + x * c * p
             grid = [[field.zero] * nk for _ in range(com.dim)]
             for (a, r2), c in acc.items():
                 grid[a][r2] = c
@@ -963,8 +913,9 @@ def split_comodule(h: WeakBialgebra, com: Comodule, blocks: BlockData | None = N
                     raise InternalInconsistency("split coaction left its piece")
                 for a2, x in enumerate(coords):
                     if x:
-                        rows[a2 * nk + r2][b] = rows[a2 * nk + r2][b] + x
-        pieces.append(Comodule(s, space.dim, Matrix(field, rows, cols=space.dim)))
+                        row = rows[a2 * nk + r2]
+                        row[b] = row.get(b, z) + x
+        pieces.append(Comodule(s, space.dim, Matrix._from_dicts(field, rows, space.dim)))
     if sum(p.dim for p in pieces) != com.dim:
         raise InternalInconsistency("piece dimensions do not add up")
     _verify_comodule_reassembly(h, com, data, pieces, spaces)
@@ -982,19 +933,17 @@ def _verify_comodule_reassembly(h, com, data, pieces, spaces):
         raise InternalInconsistency("piece bases do not span the comodule")
     z = field.zero
     total = sum(p.dim for p in pieces)
-    rows = [[z] * total for _ in range(total * n)]
+    rows = [{} for _ in range(total * n)]
     off = 0
     for piece, emb in zip(pieces, data.embeddings):
-        nk = piece.over.dim
+        emb_cols = emb.col_nz()
         for b in range(piece.dim):
             for (a, r2), c in piece.coact_nonzeros(b):
-                for j, x in enumerate(emb.col(r2)):
-                    if x:
-                        rows[(off + a) * n + j][off + b] = (
-                            rows[(off + a) * n + j][off + b] + c * x
-                        )
+                for j, x in emb_cols[r2]:
+                    row = rows[(off + a) * n + j]
+                    row[off + b] = row.get(off + b, z) + c * x
         off += piece.dim
-    g_coaction = Matrix(field, rows, cols=total)
+    g_coaction = Matrix._from_dicts(field, rows, total)
     g_com = Comodule(h, total, g_coaction)
     ident_n = Matrix.identity(field, n)
     lhs = com.coaction.mul(change)

@@ -76,9 +76,6 @@ class Verdict:
     def failing(violations) -> "Verdict":
         return Verdict(tuple(violations))
 
-    def merged_with(self, other: "Verdict") -> "Verdict":
-        return Verdict(self.violations + other.violations)
-
 
 class AxiomViolation(ToolkitError):
     """Raised when a verifying constructor finds mathematical violations."""

@@ -1,7 +1,9 @@
-"""Exact field arithmetic and the dense linear-algebra substrate.
+"""Exact field arithmetic and the sparse linear-algebra substrate.
 
 Scalars are `fractions.Fraction` over the rationals and `Mod` residue classes
-over a prime field.  Two guarantees made here carry the whole package:
+over a prime field.  A `Matrix` stores only the nonzeros of each row, and the
+kernels below (products, elimination, solving) iterate over those alone.
+Two guarantees made here carry the whole package:
 
 * all arithmetic is exact, so equality is structural and zero tests decide;
 * every derived basis is canonical (reduced row echelon, free variables
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import ne, sub
+from operator import add, ne, sub
 import re
 
 from .errors import MalformedInput
@@ -26,14 +28,33 @@ _RAT_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 _INT_RE = re.compile(r"^-?\d+$")
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality of every
+# n below this bound, the least strong pseudoprime to all of them
+# (Sorenson and Webster 2015); prime-field characteristics are capped below it.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_CHARACTERISTIC = 3317044064679887385961981 - 1
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic for 0 <= p <= MAX_CHARACTERISTIC."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _PRIME_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -130,6 +151,11 @@ class FieldSpec:
             if self.characteristic:
                 raise MalformedInput("rationals carry no characteristic")
         elif self.kind == "prime-field":
+            if self.characteristic > MAX_CHARACTERISTIC:
+                raise MalformedInput(
+                    "prime-field characteristic above the supported bound "
+                    f"{MAX_CHARACTERISTIC}"
+                )
             if not _is_prime(self.characteristic):
                 raise MalformedInput(
                     f"prime-field characteristic {self.characteristic} is not prime"
@@ -169,13 +195,16 @@ class FieldSpec:
     def parse(self, s: str):
         if not isinstance(s, str):
             raise MalformedInput(f"scalar must be a string, got {s!r}")
-        if self.kind == "rationals":
-            if not _RAT_RE.match(s):
-                raise MalformedInput(f"bad rational scalar {s!r}")
-            return Fraction(s)
-        if not _INT_RE.match(s):
-            raise MalformedInput(f"bad residue scalar {s!r}")
-        return Mod(int(s), self.characteristic)
+        try:
+            if self.kind == "rationals":
+                if not _RAT_RE.match(s):
+                    raise MalformedInput(f"bad rational scalar {s!r}")
+                return Fraction(s)
+            if not _INT_RE.match(s):
+                raise MalformedInput(f"bad residue scalar {s!r}")
+            return Mod(int(s), self.characteristic)
+        except ValueError as exc:  # the interpreter's limit on integer digits
+            raise MalformedInput(f"scalar of {len(s)} characters: {exc}")
 
     def fmt(self, x) -> str:
         return str(x)
@@ -198,7 +227,13 @@ def parse_field_name(name: str) -> FieldSpec:
     m = re.match(r"^GF\((\d+)\)$", name)
     if not m:
         raise MalformedInput(f"unknown field name {name!r}")
-    return GF(int(m.group(1)))
+    digits = m.group(1)
+    if len(digits) > len(str(MAX_CHARACTERISTIC)):
+        # also keeps int() clear of the interpreter's digit limit
+        raise MalformedInput(
+            f"prime-field characteristic of {len(digits)} digits is above the supported bound"
+        )
+    return GF(int(digits))
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +320,17 @@ def ints_to_field(field: FieldSpec, data, scale: int):
 
 
 class Matrix:
-    """Dense exact matrix over one field; entries are tuples of row tuples."""
+    """Exact matrix over one field, stored as the nonzeros of each row.
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    ``nz[r]`` holds the (column, value) pairs of row r whose value is nonzero,
+    in increasing column order.  That form is canonical, so equality and
+    hashing stay structural; ``entries`` is a derived dense view.
+    """
+
+    __slots__ = ("field", "rows", "cols", "nz", "_col_nz")
 
     def __init__(self, field: FieldSpec, entries, cols: int | None = None):
-        rows = []
+        nz = []
         width = cols
         for row in entries:
             row = tuple(field.of(x) if isinstance(x, int) else x for x in row)
@@ -301,38 +341,42 @@ class Matrix:
                 width = len(row)
             elif len(row) != width:
                 raise MalformedInput("ragged matrix rows")
-            rows.append(row)
+            nz.append(tuple([(j, x) for j, x in enumerate(row) if x]))
         if width is None:
             raise MalformedInput("column count needed for a matrix with no rows")
+        self._init(field, tuple(nz), width)
+
+    def _init(self, field, nz, cols):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "entries", tuple(rows))
+        object.__setattr__(self, "rows", len(nz))
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "nz", nz)
+        object.__setattr__(self, "_col_nz", None)
 
     def __setattr__(self, name, val):
         raise AttributeError("Matrix is immutable")
 
     @staticmethod
-    def _raw(field: FieldSpec, entries, cols: int) -> "Matrix":
-        """Internal fast path: entries are already canonical field scalars."""
+    def _sparse(field: FieldSpec, nz, cols: int) -> "Matrix":
+        """Internal fast path: nz is already a tuple of canonical nonzero rows."""
         m = object.__new__(Matrix)
-        object.__setattr__(m, "field", field)
-        object.__setattr__(m, "rows", len(entries))
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "entries", tuple(tuple(r) for r in entries))
+        m._init(field, nz, cols)
         return m
 
     @staticmethod
+    def _from_dicts(field: FieldSpec, rows, cols: int) -> "Matrix":
+        """Internal: rows given as {column: value} dicts, zero values allowed."""
+        nz = tuple([tuple([(j, x) for j, x in sorted(r.items()) if x]) if r else () for r in rows])
+        return Matrix._sparse(field, nz, cols)
+
+    @staticmethod
     def zeros(field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        z = field.zero
-        return Matrix._raw(field, [(z,) * cols for _ in range(rows)], cols)
+        return Matrix._sparse(field, ((),) * rows, cols)
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "Matrix":
-        z, o = field.zero, field.one
-        return Matrix._raw(
-            field, [tuple(o if i == j else z for j in range(n)) for i in range(n)], n
-        )
+        o = field.one
+        return Matrix._sparse(field, tuple([((i, o),) for i in range(n)]), n)
 
     @staticmethod
     def from_cols(field: FieldSpec, cols_list, rows: int | None = None) -> "Matrix":
@@ -340,11 +384,41 @@ class Matrix:
         if not cols_list:
             if rows is None:
                 raise MalformedInput("row count needed for a matrix with no columns")
-            return Matrix._raw(field, [() for _ in range(rows)], 0)
-        return Matrix._raw(field, list(zip(*cols_list)), len(cols_list))
+            return Matrix.zeros(field, rows, 0)
+        out = [[] for _ in cols_list[0]]
+        for j, col in enumerate(cols_list):
+            for i, x in enumerate(col):
+                if x:
+                    out[i].append((j, x))
+        return Matrix._sparse(field, tuple(map(tuple, out)), len(cols_list))
+
+    @property
+    def entries(self) -> tuple:
+        """The dense rows, rebuilt on every read."""
+        z = self.field.zero
+        out = []
+        for row in self.nz:
+            dense = [z] * self.cols
+            for j, x in row:
+                dense[j] = x
+            out.append(tuple(dense))
+        return tuple(out)
+
+    def col_nz(self) -> tuple:
+        """Per column c, the (row, value) pairs of its nonzeros, by row."""
+        if self._col_nz is None:
+            out = [[] for _ in range(self.cols)]
+            for r, row in enumerate(self.nz):
+                for j, x in row:
+                    out[j].append((r, x))
+            object.__setattr__(self, "_col_nz", tuple(map(tuple, out)))
+        return self._col_nz
 
     def col(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.entries)
+        out = [self.field.zero] * self.rows
+        for r, x in self.col_nz()[j]:
+            out[r] = x
+        return tuple(out)
 
     def column_list(self) -> list[tuple]:
         return [self.col(j) for j in range(self.cols)]
@@ -356,10 +430,11 @@ class Matrix:
             )
         z = self.field.zero
         out = []
-        for row in self.entries:
+        for row in self.nz:
             acc = z
-            for c, x in zip(row, v):
-                if c and x:
+            for j, c in row:
+                x = v[j]
+                if x:
                     acc = acc + c * x
             out.append(acc)
         return tuple(out)
@@ -371,65 +446,61 @@ class Matrix:
             raise MalformedInput(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
+        one = self.field.one
+        onz = other.nz
+        out = []
+        for row in self.nz:
+            if len(row) == 1:
+                k, c = row[0]
+                orow = onz[k]
+                out.append(orow if c == one else tuple([(j, c * x) for j, x in orow]))
+                continue
+            acc = {}
+            for k, c in row:
+                for j, x in onz[k]:
+                    if j in acc:
+                        acc[j] = acc[j] + c * x
+                    else:
+                        acc[j] = c * x
+            out.append(tuple([(j, x) for j, x in sorted(acc.items()) if x]))
+        return Matrix._sparse(self.field, tuple(out), other.cols)
+
+    def _combine(self, other: "Matrix", op) -> "Matrix":
+        self._same_shape(other)
         z = self.field.zero
-        out = [[z] * other.cols for _ in range(self.rows)]
-        for i, row in enumerate(self.entries):
-            oi = out[i]
-            for k, c in enumerate(row):
-                if not c:
-                    continue
-                orow = other.entries[k]
-                for j, x in enumerate(orow):
-                    if x:
-                        oi[j] = oi[j] + c * x
-        return Matrix._raw(self.field, out, other.cols)
+        out = []
+        for r, s in zip(self.nz, other.nz):
+            acc = dict(r)
+            for j, x in s:
+                acc[j] = op(acc.get(j, z), x)
+            out.append(acc)
+        return Matrix._from_dicts(self.field, out, self.cols)
 
     def add(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix._raw(
-            self.field,
-            [vec_add(r, s) for r, s in zip(self.entries, other.entries)],
-            self.cols,
-        )
+        return self._combine(other, add)
 
     def sub(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix._raw(
-            self.field,
-            [vec_sub(r, s) for r, s in zip(self.entries, other.entries)],
-            self.cols,
-        )
+        return self._combine(other, sub)
 
     def scale(self, c) -> "Matrix":
-        return Matrix._raw(self.field, [vec_scale(c, r) for r in self.entries], self.cols)
+        if not c:
+            return Matrix.zeros(self.field, self.rows, self.cols)
+        return Matrix._sparse(
+            self.field, tuple([tuple([(j, c * x) for j, x in row]) for row in self.nz]), self.cols
+        )
 
     def transpose(self) -> "Matrix":
-        if self.rows == 0:
-            return Matrix._raw(self.field, [() for _ in range(self.cols)], 0)
-        return Matrix._raw(self.field, list(zip(*self.entries)), self.rows)
+        return Matrix._sparse(self.field, self.col_nz(), self.rows)
 
     def kron(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
             raise MalformedInput("kron across different fields")
-        z = self.field.zero
-        rows = self.rows * other.rows
-        cols = self.cols * other.cols
-        out = [[z] * cols for _ in range(rows)]
-        for i1, r1 in enumerate(self.entries):
-            for j1, a in enumerate(r1):
-                if not a:
-                    continue
-                for i2, r2 in enumerate(other.entries):
-                    base_r = i1 * other.rows + i2
-                    base_c = j1 * other.cols
-                    orow = out[base_r]
-                    for j2, b in enumerate(r2):
-                        if b:
-                            orow[base_c + j2] = a * b
-        return Matrix._raw(self.field, out, cols)
-
-    def is_zero(self) -> bool:
-        return all(not x for row in self.entries for x in row)
+        oc = other.cols
+        out = []
+        for r1 in self.nz:
+            for r2 in other.nz:
+                out.append(tuple([(j1 * oc + j2, a * b) for j1, a in r1 for j2, b in r2]))
+        return Matrix._sparse(self.field, tuple(out), self.cols * oc)
 
     def _same_shape(self, other: "Matrix"):
         if self.field != other.field:
@@ -442,82 +513,88 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (
-            self.field == other.field
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+        return self.field == other.field and self.cols == other.cols and self.nz == other.nz
 
     def __hash__(self):
-        return hash((self.field, self.cols, self.entries))
+        return hash((self.field, self.cols, self.nz))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"Matrix({self.rows}x{self.cols} over {self.field}: {body})"
 
 
+def _subtract(row: dict, f, pivot: dict) -> None:
+    """row -= f * pivot, on {column: value} rows, dropping the zeros."""
+    for j, x in pivot.items():
+        v = row.get(j)
+        if v is None:
+            row[j] = -f * x
+        else:
+            v = v - f * x
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form with pivot columns (Gauss-Jordan, exact).
 
-    Elimination iterates only over the pivot row's nonzero support, which
-    keeps sparse structure-constant systems fast without leaving the dense
-    representation.
+    Rows are eliminated as {column: value} dicts, so the work follows the
+    nonzeros.  Each row is reduced by the pivot rows found so far until its
+    leading column is new, and becomes the pivot row there; a last pass,
+    from the rightmost pivot, clears each pivot column in the rows above.
     """
-    rows = [list(r) for r in m.entries]
-    nr, nc = m.rows, m.cols
     one = m.field.one
-    pivots = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        pr = None
-        for i in range(r, nr):
-            if rows[i][c]:
-                pr = i
+    pivot_rows = {}
+    for r in m.nz:
+        row = dict(r)
+        while row:
+            c = min(row)
+            p = pivot_rows.get(c)
+            if p is None:
+                lead = row[c]
+                if lead != one:
+                    inv = one / lead
+                    for j in row:
+                        row[j] = row[j] * inv
+                pivot_rows[c] = row
                 break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r]
-        if piv[c] != one:
-            inv = one / piv[c]
-            for j in range(c, nc):
-                if piv[j]:
-                    piv[j] = piv[j] * inv
-        support = [j for j in range(c, nc) if piv[j]]
-        for i in range(nr):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if not f:
-                continue
-            ri = rows[i]
-            for j in support:
-                ri[j] = ri[j] - f * piv[j]
-        pivots.append(c)
-        r += 1
-    return Matrix._raw(m.field, rows, nc), tuple(pivots)
+            _subtract(row, row[c], p)
+    pivots = sorted(pivot_rows)
+    for k in range(len(pivots) - 1, 0, -1):
+        p = pivot_rows[pivots[k]]
+        for c in pivots[:k]:
+            row = pivot_rows[c]
+            f = row.get(pivots[k])
+            if f is not None:
+                _subtract(row, f, p)
+    nz = tuple([tuple(sorted(pivot_rows[c].items())) for c in pivots])
+    return Matrix._sparse(m.field, nz + ((),) * (m.rows - len(pivots)), m.cols), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
     return len(rref(m)[1])
 
 
+def _kernel_nz(m: Matrix) -> list[tuple]:
+    """The canonical kernel basis of `kernel_basis`, as nonzero (index, value) rows."""
+    red, pivots = rref(m)
+    one = m.field.one
+    free = {}
+    for r, c in enumerate(pivots):
+        for f, x in red.nz[r][1:]:
+            free.setdefault(f, []).append((c, -x))
+    pivot_set = set(pivots)
+    return [
+        tuple(free.get(f, ())) + ((f, one),) for f in range(m.cols) if f not in pivot_set
+    ]
+
+
 def kernel_basis(m: Matrix) -> list[tuple]:
     """Canonical basis of the right kernel, one vector per free column."""
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    out = []
-    z, o = m.field.zero, m.field.one
-    for f in free:
-        v = [z] * m.cols
-        v[f] = o
-        for r, c in enumerate(pivots):
-            v[c] = -red.entries[r][f]
-        out.append(tuple(v))
-    return out
+    dense = Matrix._sparse(m.field, tuple(_kernel_nz(m)), m.cols).entries
+    return list(dense)
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix | None:
@@ -526,20 +603,19 @@ def solve(a: Matrix, b: Matrix) -> Matrix | None:
         raise MalformedInput("solve across different fields")
     if a.rows != b.rows:
         raise MalformedInput(f"a has {a.rows} rows but b has {b.rows}")
-    aug = Matrix._raw(
+    ac = a.cols
+    aug = Matrix._sparse(
         a.field,
-        [ra + rb for ra, rb in zip(a.entries, b.entries)],
-        a.cols + b.cols,
+        tuple([ra + tuple([(ac + j, x) for j, x in rb]) for ra, rb in zip(a.nz, b.nz)]),
+        ac + b.cols,
     )
     red, pivots = rref(aug)
-    for c in pivots:
-        if c >= a.cols:
-            return None
-    z = a.field.zero
-    x = [[z] * b.cols for _ in range(a.cols)]
+    if pivots and pivots[-1] >= ac:
+        return None
+    x = [()] * ac
     for r, c in enumerate(pivots):
-        x[c] = list(red.entries[r][a.cols:])
-    return Matrix._raw(a.field, x, b.cols)
+        x[c] = tuple([(j - ac, v) for j, v in red.nz[r] if j >= ac])
+    return Matrix._sparse(a.field, tuple(x), b.cols)
 
 
 def solve_vec(a: Matrix, b) -> tuple | None:
@@ -561,39 +637,54 @@ def inverse(m: Matrix) -> Matrix | None:
 class Subspace:
     """A subspace of k^n held as a canonical reduced-echelon row basis.
 
-    Two subspaces are equal iff their echelon bases are identical.
+    ``nz`` holds the echelon rows as nonzero (index, value) pairs, like
+    `Matrix.nz`; ``basis`` is the same rows as dense vectors.  Two subspaces
+    are equal iff their echelon bases are identical.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots")
+    __slots__ = ("field", "ambient_dim", "nz", "pivots", "_basis")
 
-    def __init__(self, field: FieldSpec, ambient_dim: int, vectors=(), assume_canonical=False):
+    def __init__(self, field: FieldSpec, ambient_dim: int, vectors=()):
         vectors = list(vectors)
         for v in vectors:
             if len(v) != ambient_dim:
                 raise MalformedInput(
                     f"vector of length {len(v)} in ambient dimension {ambient_dim}"
                 )
-        if vectors:
-            mat = (
-                Matrix._raw(field, vectors, ambient_dim)
-                if assume_canonical
-                else Matrix(field, vectors, cols=ambient_dim)
-            )
+        self._init(field, ambient_dim, Matrix(field, vectors, cols=ambient_dim))
+
+    @staticmethod
+    def row_space(m: Matrix) -> "Subspace":
+        """The span of the rows of m."""
+        s = object.__new__(Subspace)
+        s._init(m.field, m.cols, m)
+        return s
+
+    def _init(self, field, ambient_dim, mat):
+        if mat.rows:
             red, pivots = rref(mat)
-            basis = tuple(red.entries[i] for i in range(len(pivots)))
+            nz = red.nz[: len(pivots)]
         else:
-            basis, pivots = (), ()
+            nz, pivots = (), ()
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "nz", nz)
         object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "_basis", None)
 
     def __setattr__(self, name, val):
         raise AttributeError("Subspace is immutable")
 
     @property
+    def basis(self) -> tuple:
+        if self._basis is None:
+            dense = Matrix._sparse(self.field, self.nz, self.ambient_dim).entries
+            object.__setattr__(self, "_basis", dense)
+        return self._basis
+
+    @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.nz)
 
     def coords_of(self, v) -> tuple | None:
         """Coordinates of v in the echelon basis, or None if v is outside."""
@@ -601,13 +692,12 @@ class Subspace:
             raise MalformedInput("vector length does not match ambient dimension")
         residual = list(v)
         coords = []
-        for row, p in zip(self.basis, self.pivots):
+        for row, p in zip(self.nz, self.pivots):
             c = residual[p]
             coords.append(c)
             if c:
-                for j, x in enumerate(row):
-                    if x:
-                        residual[j] = residual[j] - c * x
+                for j, x in row:
+                    residual[j] = residual[j] - c * x
         if any(residual):
             return None
         return tuple(coords)
@@ -615,16 +705,9 @@ class Subspace:
     def contains(self, v) -> bool:
         return self.coords_of(v) is not None
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
-
-    def sum_with(self, other: "Subspace") -> "Subspace":
-        self._compatible(other)
-        return Subspace(self.field, self.ambient_dim, list(self.basis) + list(other.basis))
-
     def basis_matrix(self) -> Matrix:
         """Basis vectors as columns, shape ambient_dim x dim."""
-        return Matrix.from_cols(self.field, list(self.basis), rows=self.ambient_dim)
+        return Matrix._sparse(self.field, self.nz, self.ambient_dim).transpose()
 
     def _compatible(self, other: "Subspace"):
         if self.field != other.field:
@@ -640,43 +723,46 @@ class Subspace:
         return (
             self.field == other.field
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.nz == other.nz
         )
 
     def __hash__(self):
-        return hash((self.field, self.ambient_dim, self.basis))
+        return hash((self.field, self.ambient_dim, self.nz))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of k^{self.ambient_dim})"
 
 
 def column_space(m: Matrix) -> Subspace:
-    return Subspace(m.field, m.rows, m.column_list())
+    return Subspace.row_space(m.transpose())
 
 
 def kernel_space(m: Matrix) -> Subspace:
-    return Subspace(m.field, m.cols, kernel_basis(m))
+    return Subspace.row_space(Matrix._sparse(m.field, tuple(_kernel_nz(m)), m.cols))
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
     """a cap b via the kernel of the stacked-basis system."""
     a._compatible(b)
+    field = a.field
     if a.dim == 0 or b.dim == 0:
-        return Subspace(a.field, a.ambient_dim)
-    stacked = Matrix.from_cols(
-        a.field,
-        list(a.basis) + [vec_scale(-a.field.one, v) for v in b.basis],
-        rows=a.ambient_dim,
-    )
+        return Subspace(field, a.ambient_dim)
+    neg = -field.one
+    stacked = Matrix._sparse(
+        field,
+        a.nz + tuple([tuple([(j, neg * x) for j, x in row]) for row in b.nz]),
+        a.ambient_dim,
+    ).transpose()
     vectors = []
-    for kv in kernel_basis(stacked):
-        coeffs = kv[: a.dim]
-        w = vec_zero(a.field, a.ambient_dim)
-        for c, row in zip(coeffs, a.basis):
-            if c:
-                w = vec_add(w, vec_scale(c, row))
+    for kv in _kernel_nz(stacked):
+        w = {}
+        for i, c in kv:
+            if i >= a.dim:
+                break
+            for j, x in a.nz[i]:
+                w[j] = w[j] + c * x if j in w else c * x
         vectors.append(w)
-    return Subspace(a.field, a.ambient_dim, vectors)
+    return Subspace.row_space(Matrix._from_dicts(field, vectors, a.ambient_dim))
 
 
 def quotient_basis(
@@ -691,20 +777,18 @@ def quotient_basis(
     if relators.ambient_dim != ambient_dim:
         raise MalformedInput("relator ambient dimension mismatch")
     field = relators.field
+    o = field.one
     pivot_set = set(relators.pivots)
     reps = tuple(j for j in range(ambient_dim) if j not in pivot_set)
-    z, o = field.zero, field.one
-    proj_rows = [[z] * ambient_dim for _ in reps]
+    # the projection sends e_f to e_f and each pivot e_p to minus the rest of its relator
+    back = {}
+    for p, row in zip(relators.pivots, relators.nz):
+        for f, x in row[1:]:
+            back.setdefault(f, []).append((p, -x))
+    proj_rows = [tuple(sorted(back.get(f, []) + [(f, o)])) for f in reps]
+    projection = Matrix._sparse(field, tuple(proj_rows), ambient_dim)
+    sect_rows = [()] * ambient_dim
     for i, f in enumerate(reps):
-        proj_rows[i][f] = o
-    for r, p in enumerate(relators.pivots):
-        row = relators.basis[r]
-        for i, f in enumerate(reps):
-            if row[f]:
-                proj_rows[i][p] = -row[f]
-    projection = Matrix._raw(field, proj_rows, ambient_dim)
-    sect_rows = [[z] * len(reps) for _ in range(ambient_dim)]
-    for i, f in enumerate(reps):
-        sect_rows[f][i] = o
-    section = Matrix._raw(field, sect_rows, len(reps))
+        sect_rows[f] = ((i, o),)
+    section = Matrix._sparse(field, tuple(sect_rows), len(reps))
     return reps, projection, section

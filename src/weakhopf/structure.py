@@ -167,10 +167,6 @@ def counit_of(c: FiniteCoalgebra, x):
     return acc
 
 
-def basis_product(a: FiniteAlgebra, i: int, j: int) -> tuple:
-    return a.mult[i][j]
-
-
 def law_violations(field: FieldSpec, law: str, witness: tuple, u, su: int, v, sv: int) -> list:
     """[] if the lifted int vectors u / su and v / sv agree, else their one Violation."""
     if not ints_differ(field.characteristic, u, su, v, sv):

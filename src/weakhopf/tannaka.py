@@ -29,7 +29,6 @@ from .exactla import Matrix, inverse, rank, vec_zero
 from .comod import (
     Comodule,
     TensorComodule,
-    _nonzero_columns,
     coaction_verdict,
     comodule_map_verdict,
     tensor_over_source,
@@ -126,26 +125,22 @@ def _coalgebra_map_violations(phi, source, target):
     n = source.dim
     nk = target.dim
     field = source.field
+    cols = phi.col_nz()
     out = []
     for i in range(n):
         lhs = target.comultiply(phi.col(i))
         rhs = list(vec_zero(field, nk * nk))
         for j in range(n):
             row = source.comult[i][j]
-            pj = phi.col(j)
             for k in range(n):
                 d = row[k]
                 if not d:
                     continue
-                pk = phi.col(k)
-                for a, x in enumerate(pj):
-                    if not x:
-                        continue
+                for a, x in cols[j]:
                     base = a * nk
                     dx = d * x
-                    for b, y in enumerate(pk):
-                        if y:
-                            rhs[base + b] = rhs[base + b] + dx * y
+                    for b, y in cols[k]:
+                        rhs[base + b] = rhs[base + b] + dx * y
         if lhs != tuple(rhs):
             out.append(Violation("not comultiplicative", (i,), lhs, tuple(rhs)))
         eps_lhs = target.counit_of(phi.col(i))
@@ -165,15 +160,15 @@ def check_map(phi: Matrix, source: WeakBialgebra, target: WeakBialgebra):
 def induced_coaction(phi: Matrix, m: Comodule, target: WeakBialgebra) -> Matrix:
     """(id_M (x) phi) . rho_M as a coaction matrix into M (x) K."""
     nk = target.dim
-    field = target.field
-    z = field.zero
-    rows = [[z] * m.dim for _ in range(m.dim * nk)]
-    cols = _nonzero_columns(phi)
+    z = target.field.zero
+    rows = [{} for _ in range(m.dim * nk)]
+    cols = phi.col_nz()
     for i in range(m.dim):
         for (a, j), c in m.coact_nonzeros(i):
             for k, p in cols[j]:
-                rows[a * nk + k][i] = rows[a * nk + k][i] + c * p
-    return Matrix._raw(field, rows, m.dim)
+                row = rows[a * nk + k]
+                row[i] = row.get(i, z) + c * p
+    return Matrix._from_dicts(target.field, rows, m.dim)
 
 
 def induced_functor(phi: WeakBialgebraMap, m: Comodule) -> Comodule:
@@ -361,17 +356,15 @@ def _coalgebra_layers(fd: FunctorData):
 
     _, rho_reg = fd.regular_assignment()
     z = field.zero
-    phi_rows = [[z] * n for _ in range(nk)]
+    phi_rows = [{} for _ in range(nk)]
     eps = h.counit
+    rho_cols = rho_reg.col_nz()
     for i in range(n):
-        col = rho_reg.col(i)
-        for idx, c in enumerate(col):
-            if not c:
-                continue
+        for idx, c in rho_cols[i]:
             a, kk = divmod(idx, nk)
             if eps[a]:
-                phi_rows[kk][i] = phi_rows[kk][i] + eps[a] * c
-    phi = Matrix(field, phi_rows, cols=n)
+                phi_rows[kk][i] = phi_rows[kk].get(i, z) + eps[a] * c
+    phi = Matrix._from_dicts(field, phi_rows, n)
 
     layers.append(("coalgebra-map", Verdict(tuple(_coalgebra_map_violations(phi, h, k)))))
 
@@ -389,17 +382,14 @@ def _coalgebra_layers(fd: FunctorData):
 
     # Remark 3.2: phi is a K-comodule map from (H, rho^F) to (K, Delta_K)
     rem = []
+    phi_cols = phi.col_nz()
     for i in range(n):
         lhs = k.comultiply(phi.col(i))
         rhs = list(vec_zero(field, nk * nk))
-        col = rho_reg.col(i)
-        for idx, c in enumerate(col):
-            if not c:
-                continue
+        for idx, c in rho_cols[i]:
             a, kk = divmod(idx, nk)
-            for b, p in enumerate(phi.col(a)):
-                if p:
-                    rhs[b * nk + kk] = rhs[b * nk + kk] + c * p
+            for b, p in phi_cols[a]:
+                rhs[b * nk + kk] = rhs[b * nk + kk] + c * p
         if lhs != tuple(rhs):
             rem.append(Violation("Delta_K . phi != (phi (x) id) rho^F", (i,), lhs, tuple(rhs)))
     layers.append(("comodule-map-property", Verdict(tuple(rem))))

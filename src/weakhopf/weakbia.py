@@ -129,12 +129,6 @@ class WeakBialgebra:
     def counit_of(self, x):
         return counit_of(self.coa, x)
 
-    def delta_one(self):
-        """Delta(1) as an n x n grid D[j][k]."""
-        n = self.dim
-        flat = comultiply(self.coa, self.alg.unit)
-        return tuple(tuple(flat[j * n + k] for k in range(n)) for j in range(n))
-
     def comult_matrix(self) -> Matrix:
         """Delta as an (n*n) x n matrix on column vectors."""
         n = self.dim
@@ -183,6 +177,20 @@ class WeakBialgebra:
         except AttributeError:
             pass
         return table
+
+    def mult_matrix(self, x, right: bool = False) -> Matrix:
+        """Left multiplication by x (right multiplication with right=True), as a matrix."""
+        n = self.dim
+        z = self.field.zero
+        mu = self.mult_nz()
+        rows = [{} for _ in range(n)]
+        for i, c in enumerate(x):
+            if not c:
+                continue
+            for j in range(n):
+                for k, p in mu[j][i] if right else mu[i][j]:
+                    rows[k][j] = rows[k].get(j, z) + c * p
+        return Matrix._from_dicts(self.field, rows, n)
 
     def comult_nz(self):
         """Sparse comultiplication: comult_nz()[j] = ((j2, k2, coeff), ...)."""
@@ -569,6 +577,7 @@ def solve_antipode(h: WeakBialgebra) -> AntipodeResult:
     rows = []
     rhs = []
     mu = h.mult
+    eps_t, eps_s = h.eps_t.entries, h.eps_s.entries
     for i in range(n):
         flat = h.comultiply(vec_unit(field, n, i))
         nz = [(divmod(idx, n), c) for idx, c in enumerate(flat) if c]
@@ -584,9 +593,9 @@ def solve_antipode(h: WeakBialgebra) -> AntipodeResult:
                     if q:
                         row_ii[l * n + a] = row_ii[l * n + a] + c * q
             rows.append(row_i)
-            rhs.append((h.eps_t.entries[m][i],))
+            rhs.append((eps_t[m][i],))
             rows.append(row_ii)
-            rhs.append((h.eps_s.entries[m][i],))
+            rhs.append((eps_s[m][i],))
     system = Matrix(field, rows, cols=n * n)
     target = Matrix(field, rhs, cols=1)
     x = solve(system, target)
@@ -620,34 +629,6 @@ def dualize(h: WeakBialgebra) -> WeakBialgebra:
 
 # ---------------------------------------------------------------------------
 # lemma suite
-
-
-def _left_mult_matrix(h: WeakBialgebra, x) -> Matrix:
-    n = h.dim
-    z = h.field.zero
-    out = [[z] * n for _ in range(n)]
-    for i, c in enumerate(x):
-        if not c:
-            continue
-        for j in range(n):
-            for k, p in enumerate(h.mult[i][j]):
-                if p:
-                    out[k][j] = out[k][j] + c * p
-    return Matrix(h.field, out, cols=n)
-
-
-def _right_mult_matrix(h: WeakBialgebra, x) -> Matrix:
-    n = h.dim
-    z = h.field.zero
-    out = [[z] * n for _ in range(n)]
-    for i, c in enumerate(x):
-        if not c:
-            continue
-        for j in range(n):
-            for k, p in enumerate(h.mult[j][i]):
-                if p:
-                    out[k][j] = out[k][j] + c * p
-    return Matrix(h.field, out, cols=n)
 
 
 def _tensor_subspace(h: WeakBialgebra, left: Subspace, right: Subspace) -> Subspace:

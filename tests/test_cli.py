@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -160,6 +161,32 @@ def test_missing_file_is_malformed(capsys):
 def test_bad_field_flag(capsys):
     code, _ = run(capsys, ["fixture", "c2", "--field", "GF(6)"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "field,scalar,code",
+    [
+        ("GF(100000000000031)", "1", 0),
+        ("GF(1000000000000000003)", "1", 0),
+        ("GF(" + "9" * 5000 + ")", "1", 2),
+        ("GF(3317044064679887385961981)", "1", 2),
+        ("Q", "1" * 5000, 2),
+        ("GF(5)", "1" * 5000, 2),
+    ],
+    ids=["14-digit", "19-digit", "5000-digit", "above-cap", "Q-scalar", "GF-scalar"],
+)
+def test_hostile_fields_and_scalars_exit_in_bounded_time(capsys, tmp_path, field, scalar, code):
+    doc = json.loads(golden("k.wba.json"))
+    doc["field"] = field
+    doc["unit"] = [scalar]
+    path = tmp_path / "k.wba.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    t0 = time.perf_counter()
+    got, out = run(capsys, ["check", str(path)])
+    assert time.perf_counter() - t0 < 2.0
+    assert got == code
+    if code == 2:
+        assert "error [malformed]" in out
 
 
 def test_round_trip_parse_emit(in_golden_dir, capsys, tmp_path):

@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from dense_matrix import DenseMatrix
+from dense_matrix import echelon_basis as dense_echelon_basis
+from dense_matrix import quotient_basis as dense_quotient_basis
 from weakhopf.errors import AxiomViolation, PreconditionError, Verdict, Violation
 from weakhopf.exactla import GF, QQ, Matrix, vec_unit, vec_zero
 from weakhopf.fixtures import (
@@ -15,6 +18,7 @@ from weakhopf.fixtures import (
 from weakhopf.comod import (
     Comodule,
     ComoduleMap,
+    associator,
     bimodule_action,
     check_lemma25,
     coaction_verdict,
@@ -387,3 +391,145 @@ def test_tensor_quotient_data_and_coaction(h):
         for v in t.relators.basis:
             assert not any(t.projection.apply(v))
         assert _dense_coaction_verdict(h, t.dim, t.coaction).ok
+
+
+# ---------------------------------------------------------------------------
+# the sparse monoidal structure against the dense construction it replaced
+
+
+def _dense_columns(mat):
+    cols = [[] for _ in range(mat.cols)]
+    for r, row in enumerate(mat.entries):
+        for c, x in enumerate(row):
+            if x:
+                cols[c].append((r, x))
+    return cols
+
+
+def _dense_tensor(h, left, right):
+    """(reps, projection, section, coaction) of left (x)_{H_s} right, built on dense rows."""
+    n, field = h.dim, h.field
+    z = field.zero
+    m, p = left.dim, right.dim
+    amb = m * p
+    _, left_right_act = _dense_actions(h, left)
+    right_left_act, _ = _dense_actions(h, right)
+    gens = {}
+    for rm, ln in zip(left_right_act, right_left_act):
+        rcols, lcols = _dense_columns(DenseMatrix.of(rm)), _dense_columns(DenseMatrix.of(ln))
+        for a in range(m):
+            for b in range(p):
+                w = {}
+                for a2, cc in rcols[a]:
+                    w[a2 * p + b] = w.get(a2 * p + b, z) + cc
+                for b2, cc in lcols[b]:
+                    w[a * p + b2] = w.get(a * p + b2, z) - cc
+                key = tuple(sorted((k, v) for k, v in w.items() if v))
+                if key:
+                    gens[key] = None
+    vectors = []
+    for key in gens:
+        w = [z] * amb
+        for k, v in key:
+            w[k] = v
+        vectors.append(tuple(w))
+    basis, pivots = dense_echelon_basis(field, amb, vectors)
+    reps, projection, section = dense_quotient_basis(field, amb, basis, pivots)
+    left_nz = [[(divmod(r, n), c) for r, c in col] for col in _dense_columns(DenseMatrix.of(left.coaction))]
+    right_nz = [[(divmod(r, n), c) for r, c in col] for col in _dense_columns(DenseMatrix.of(right.coaction))]
+    proj_cols = _dense_columns(projection)
+    t = len(reps)
+    rows = [[z] * t for _ in range(t * n)]
+    for q, f in enumerate(reps):
+        a, b = divmod(f, p)
+        out = {}
+        for (a2, j), c1 in left_nz[a]:
+            for (b2, k), c2 in right_nz[b]:
+                for l, mu in enumerate(h.mult[j][k]):
+                    if mu:
+                        key = (a2 * p + b2, l)
+                        out[key] = out.get(key, z) + c1 * c2 * mu
+        for (pair, l), coef in out.items():
+            if coef:
+                for q2, pc in proj_cols[pair]:
+                    rows[q2 * n + l][q] = rows[q2 * n + l][q] + pc * coef
+    return reps, projection, section, DenseMatrix(field, rows, t)
+
+
+def _dense_unitors(h, c):
+    field, z = h.field, h.field.zero
+    s, m = h.hs.dim, c.dim
+    unit_c = unit_comodule(h)
+    one_s = h.hs.coords_of(h.unit)
+    left_act, right_act = (list(map(DenseMatrix.of, acts)) for acts in _dense_actions(h, c))
+    _, lm_proj, lm_sect, _ = _dense_tensor(h, unit_c, c)
+    act_eval = [[z] * (s * m) for _ in range(m)]
+    for r in range(s):
+        for b in range(m):
+            for a2 in range(m):
+                if left_act[r].entries[a2][b]:
+                    act_eval[a2][r * m + b] = left_act[r].entries[a2][b]
+    l_mat = DenseMatrix(field, act_eval, s * m).mul(lm_sect)
+    back = [[z] * m for _ in range(s * m)]
+    for r, coef in enumerate(one_s):
+        if coef:
+            for b in range(m):
+                back[r * m + b][b] = coef
+    l_inv = lm_proj.mul(DenseMatrix(field, back, m))
+    _, rm_proj, rm_sect, _ = _dense_tensor(h, c, unit_c)
+    act_eval2 = [[z] * (m * s) for _ in range(m)]
+    for b in range(m):
+        for r in range(s):
+            for a2 in range(m):
+                if right_act[r].entries[a2][b]:
+                    act_eval2[a2][b * s + r] = right_act[r].entries[a2][b]
+    r_mat = DenseMatrix(field, act_eval2, m * s).mul(rm_sect)
+    back2 = [[z] * m for _ in range(m * s)]
+    for b in range(m):
+        for r, coef in enumerate(one_s):
+            if coef:
+                back2[b * s + r][b] = coef
+    r_inv = rm_proj.mul(DenseMatrix(field, back2, m))
+    return l_mat, l_inv, r_mat, r_inv
+
+
+def _dense_associator(h, a, b, c):
+    field = h.field
+    _, _, ab_sect, _ = _dense_tensor(h, a, b)
+    _, bc_proj, _, _ = _dense_tensor(h, b, c)
+    _, _, left_sect, _ = _dense_tensor(h, tensor_over_source(a, b), c)
+    _, right_proj, _, _ = _dense_tensor(h, a, tensor_over_source(b, c))
+    return (
+        right_proj.mul(DenseMatrix.identity(field, a.dim).kron(bc_proj))
+        .mul(ab_sect.kron(DenseMatrix.identity(field, c.dim)))
+        .mul(left_sect)
+    )
+
+
+def _dense_tensor_map(h, f, g):
+    _, _, src_sect, _ = _dense_tensor(h, f.source, g.source)
+    _, dst_proj, _, _ = _dense_tensor(h, f.target, g.target)
+    return dst_proj.mul(DenseMatrix.of(f.matrix).kron(DenseMatrix.of(g.matrix))).mul(src_sect)
+
+
+@pytest.mark.parametrize("h", [h for _, h in KERNEL_ALGEBRAS], ids=[f"{n}-{h.field}" for n, h in KERNEL_ALGEBRAS])
+def test_monoidal_structure_matches_dense_construction(h):
+    reg = regular_comodule(h)
+    un = unit_comodule(h)
+    ru = tensor_over_source(reg, un)
+    for a, b in ((reg, reg), (reg, un), (un, reg), (un, un), (ru, un), (un, ru)):
+        t = tensor_over_source(a, b)
+        reps, projection, section, coaction = _dense_tensor(h, a, b)
+        assert t.reps == reps
+        assert repr(t.projection) == repr(projection)
+        assert repr(t.section) == repr(section)
+        assert repr(t.coaction) == repr(coaction)
+    for c in (reg, un, ru):
+        got = [u.matrix for u in unitors(c)]
+        assert list(map(repr, got)) == list(map(repr, _dense_unitors(h, c)))
+    for triple in ((reg, un, reg), (un, reg, un), (reg, reg, un), (un, un, un)):
+        assert repr(associator(*triple).matrix) == repr(_dense_associator(h, *triple))
+    homs = [ComoduleMap(reg, reg, m) for m in comodule_hom_basis(reg, reg)]
+    id_un = ComoduleMap.identity(un)
+    for f, g in ((homs[0], homs[-1]), (homs[-1], id_un), (id_un, homs[0])):
+        assert repr(tensor_map(f, g).matrix) == repr(_dense_tensor_map(h, f, g))

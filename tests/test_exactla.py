@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,11 +7,13 @@ import pytest
 from weakhopf.errors import MalformedInput
 from weakhopf.exactla import (
     GF,
+    MAX_CHARACTERISTIC,
     QQ,
     FieldSpec,
     Matrix,
     Mod,
     Subspace,
+    _is_prime,
     intersect,
     inverse,
     kernel_basis,
@@ -246,3 +249,45 @@ def test_kron_row_major_convention():
     # (i1, i2) -> i1 * rows(b) + i2 and (j1, j2) -> j1 * cols(b) + j2
     assert k.rows == 2 and k.cols == 2
     assert k == Matrix(QQ, [[3, 6], [4, 8]])
+
+
+def test_large_prime_characteristics_are_decided_fast():
+    t0 = time.perf_counter()
+    assert GF(10**14 + 31).characteristic == 10**14 + 31
+    assert GF(1000000000000000003).characteristic == 1000000000000000003
+    # the largest prime under the cap
+    assert GF(3317044064679887385961813).characteristic == MAX_CHARACTERISTIC - 167
+    # a Carmichael number, then strong pseudoprimes to the first 4, 9 and 12 prime bases
+    for n in (561, 151 * 751 * 28351, 149491 * 747451 * 34233211, 399165290221 * 798330580441):
+        with pytest.raises(MalformedInput, match="not prime"):
+            GF(n)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_is_prime_agrees_with_a_sieve():
+    limit = 20000
+    sieve = [True] * limit
+    sieve[0] = sieve[1] = False
+    for i in range(2, limit):
+        if sieve[i]:
+            for j in range(i * i, limit, i):
+                sieve[j] = False
+    assert [n for n in range(limit) if _is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+
+def test_characteristic_cap_and_digit_limit():
+    # the least strong pseudoprime to all 13 bases is the first integer above the cap
+    assert MAX_CHARACTERISTIC + 1 == 1287836182261 * 2575672364521
+    t0 = time.perf_counter()
+    for p in (MAX_CHARACTERISTIC + 1, 2**89 - 1):
+        with pytest.raises(MalformedInput, match="supported bound"):
+            GF(p)
+    # more digits than the interpreter converts to int
+    with pytest.raises(MalformedInput, match="supported bound"):
+        parse_field_name("GF(" + "7" * 5000 + ")")
+    for field in (QQ, GF(5)):
+        with pytest.raises(MalformedInput):
+            field.parse("7" * 5000)
+    with pytest.raises(MalformedInput):
+        QQ.parse("1/" + "7" * 5000)
+    assert time.perf_counter() - t0 < 1.0
