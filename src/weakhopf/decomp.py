@@ -484,7 +484,7 @@ def _split_pieces(h: WeakBialgebra, k_space: Subspace):
                 new_pieces = []
                 for part in parts:
                     cof, _ = _poly_divmod(field, minpoly, part)
-                    g, x, y = _poly_extended_gcd(field, cof, part)
+                    g, x, _ = _poly_extended_gcd(field, cof, part)
                     if len(g) != 1:
                         raise InternalInconsistency("minimal polynomial factors not coprime")
                     u = _poly_mul(field, x, cof)
@@ -633,8 +633,8 @@ def split_by_idempotent(h: WeakBialgebra, e) -> tuple[WeakBialgebra, WeakBialgeb
         raise PreconditionError(
             "comultiplication leaks: Delta(1-e) not in (1-e)H (x) (1-e)H"
         )
-    block_a, emb_a, proj_a = _restrict_block(h, e)
-    block_b, emb_b, proj_b = _restrict_block(h, comp)
+    block_a, emb_a, _ = _restrict_block(h, e)
+    block_b, emb_b, _ = _restrict_block(h, comp)
     rebuilt = direct_sum(block_a, block_b)
     big = Matrix.from_cols(
         field, emb_a.column_list() + emb_b.column_list(), rows=h.dim

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, ne, sub
 import re
 
@@ -199,7 +199,8 @@ class FieldSpec:
             if self.kind == "rationals":
                 if not _RAT_RE.match(s):
                     raise MalformedInput(f"bad rational scalar {s!r}")
-                return Fraction(s)
+                num, _, den = s.partition("/")
+                return Fraction(int(num), int(den)) if den else Fraction(int(num))
             if not _INT_RE.match(s):
                 raise MalformedInput(f"bad residue scalar {s!r}")
             return Mod(int(s), self.characteristic)
@@ -319,6 +320,29 @@ def ints_to_field(field: FieldSpec, data, scale: int):
     return _renest(data, iter([tuple([of(x) for x in row]) for row in _rows(data)]))
 
 
+def ints_rank(p: int, rows) -> int:
+    """The rank over GF(p), or over Q when p == 0, of a matrix given by int rows.
+
+    Each row is reduced by the pivot rows kept so far: over GF(p) by residues
+    against pivots scaled to 1, over Q fraction-free with the row's content
+    divided out.
+    """
+    pivots = []
+    for row in rows:
+        r = [x % p for x in row] if p else list(row)
+        for c, q in pivots:
+            f = r[c]
+            if f and p:
+                r = [(x - f * y) % p for x, y in zip(r, q)]
+            elif f:
+                r = [q[c] * x - f * y for x, y in zip(r, q)]
+        if any(r):
+            c = next(j for j, x in enumerate(r) if x)
+            d = pow(r[c], -1, p) if p else gcd(*r)
+            pivots.append((c, [x * d % p for x in r] if p else [x // d for x in r]))
+    return len(pivots)
+
+
 class Matrix:
     """Exact matrix over one field, stored as the nonzeros of each row.
 
@@ -327,7 +351,7 @@ class Matrix:
     hashing stay structural; ``entries`` is a derived dense view.
     """
 
-    __slots__ = ("field", "rows", "cols", "nz", "_col_nz")
+    __slots__ = ("field", "rows", "cols", "nz", "_col_nz", "_col_ints")
 
     def __init__(self, field: FieldSpec, entries, cols: int | None = None):
         nz = []
@@ -352,6 +376,7 @@ class Matrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "nz", nz)
         object.__setattr__(self, "_col_nz", None)
+        object.__setattr__(self, "_col_ints", None)
 
     def __setattr__(self, name, val):
         raise AttributeError("Matrix is immutable")
@@ -367,6 +392,15 @@ class Matrix:
     def _from_dicts(field: FieldSpec, rows, cols: int) -> "Matrix":
         """Internal: rows given as {column: value} dicts, zero values allowed."""
         nz = tuple([tuple([(j, x) for j, x in sorted(r.items()) if x]) if r else () for r in rows])
+        return Matrix._sparse(field, nz, cols)
+
+    @staticmethod
+    def from_ints(field: FieldSpec, rows, scale: int, cols: int) -> "Matrix":
+        """The matrix of int rows / scale (undoes a lift; see `ints_to_field`)."""
+        p = field.characteristic
+        nz = [[(j, x) for j, x in enumerate(row) if (x % p if p else x)] for row in rows]
+        it = iter(ints_to_field(field, tuple([x for row in nz for _, x in row]), scale))
+        nz = tuple([tuple([(j, next(it)) for j, _ in row]) for row in nz])
         return Matrix._sparse(field, nz, cols)
 
     @staticmethod
@@ -413,6 +447,16 @@ class Matrix:
                     out[j].append((r, x))
             object.__setattr__(self, "_col_nz", tuple(map(tuple, out)))
         return self._col_nz
+
+    def col_ints(self) -> tuple:
+        """(cols, scale): `col_nz()` with its values lifted by `lift_to_ints`, kept."""
+        if self._col_ints is None:
+            cols = self.col_nz()
+            values, scale = lift_to_ints(self.field, tuple([x for col in cols for _, x in col]))
+            it = iter(values)
+            lifted = tuple([tuple([(r, next(it)) for r, _ in col]) for col in cols])
+            object.__setattr__(self, "_col_ints", (lifted, scale))
+        return self._col_ints
 
     def col(self, j: int) -> tuple:
         out = [self.field.zero] * self.rows
@@ -642,7 +686,7 @@ class Subspace:
     are equal iff their echelon bases are identical.
     """
 
-    __slots__ = ("field", "ambient_dim", "nz", "pivots", "_basis")
+    __slots__ = ("field", "ambient_dim", "nz", "pivots", "_basis", "_ints")
 
     def __init__(self, field: FieldSpec, ambient_dim: int, vectors=()):
         vectors = list(vectors)
@@ -671,6 +715,7 @@ class Subspace:
         object.__setattr__(self, "nz", nz)
         object.__setattr__(self, "pivots", tuple(pivots))
         object.__setattr__(self, "_basis", None)
+        object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, name, val):
         raise AttributeError("Subspace is immutable")
@@ -704,6 +749,29 @@ class Subspace:
 
     def contains(self, v) -> bool:
         return self.coords_of(v) is not None
+
+    def ints(self) -> tuple:
+        """(rows, scale): the echelon basis as dense rows lifted by `lift_to_ints`, kept."""
+        if self._ints is None:
+            object.__setattr__(self, "_ints", lift_to_ints(self.field, self.basis))
+        return self._ints
+
+    def contains_ints(self, x) -> bool:
+        """`contains` for an int vector x, at any scale.
+
+        x / s lies in the space iff scale * x minus x[pivot] times each lifted
+        echelon row vanishes (each row is scale at its pivot, 0 at the others).
+        """
+        rows, scale = self.ints()
+        res = [scale * v for v in x]
+        for row, piv in zip(rows, self.pivots):
+            c = x[piv]
+            if c:
+                for j, v in enumerate(row):
+                    if v:
+                        res[j] -= c * v
+        p = self.field.characteristic
+        return not any([v % p for v in res] if p else res)
 
     def basis_matrix(self) -> Matrix:
         """Basis vectors as columns, shape ambient_dim x dim."""

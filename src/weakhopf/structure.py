@@ -57,7 +57,7 @@ def _canonical_vector(field: FieldSpec, vec, n: int, what: str):
 class FiniteAlgebra:
     """A unital algebra on a labelled basis, given by its structure tensor."""
 
-    __slots__ = ("field", "labels", "mult", "unit")
+    __slots__ = ("field", "labels", "mult", "unit", "_ints")
 
     def __init__(self, field: FieldSpec, labels, mult, unit):
         labels = tuple(labels)
@@ -66,6 +66,7 @@ class FiniteAlgebra:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "mult", _canonical_tensor(field, mult, n, "mult"))
         object.__setattr__(self, "unit", _canonical_vector(field, unit, n, "unit"))
+        object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, name, val):
         raise AttributeError("FiniteAlgebra is immutable")
@@ -73,6 +74,20 @@ class FiniteAlgebra:
     @property
     def dim(self) -> int:
         return len(self.labels)
+
+    def ints(self) -> tuple:
+        """(mnz, sm, unit, su) by `lift_to_ints`, lifted on first use and kept.
+
+        mnz[i][j] = ((k, c), ...) lists the nonzero lifted constants of
+        b_i b_j at scale sm; unit is the dense lifted unit at scale su.
+        """
+        if self._ints is None:
+            mu, sm = lift_to_ints(self.field, self.mult)
+            mnz = tuple(
+                tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in sl) for sl in mu
+            )
+            object.__setattr__(self, "_ints", (mnz, sm) + lift_to_ints(self.field, self.unit))
+        return self._ints
 
     def __eq__(self, other):
         if not isinstance(other, FiniteAlgebra):
@@ -91,7 +106,7 @@ class FiniteAlgebra:
 class FiniteCoalgebra:
     """A counital coalgebra on a labelled basis, given by its costructure tensor."""
 
-    __slots__ = ("field", "labels", "comult", "counit")
+    __slots__ = ("field", "labels", "comult", "counit", "_ints")
 
     def __init__(self, field: FieldSpec, labels, comult, counit):
         labels = tuple(labels)
@@ -100,6 +115,7 @@ class FiniteCoalgebra:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "comult", _canonical_tensor(field, comult, n, "comult"))
         object.__setattr__(self, "counit", _canonical_vector(field, counit, n, "counit"))
+        object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, name, val):
         raise AttributeError("FiniteCoalgebra is immutable")
@@ -107,6 +123,21 @@ class FiniteCoalgebra:
     @property
     def dim(self) -> int:
         return len(self.labels)
+
+    def ints(self) -> tuple:
+        """(dnz, sd, counit, se) by `lift_to_ints`, lifted on first use and kept.
+
+        dnz[i] = ((j, k, d), ...) lists the nonzero lifted constants of
+        Delta(b_i) at scale sd; counit is the dense lifted counit at scale se.
+        """
+        if self._ints is None:
+            delta, sd = lift_to_ints(self.field, self.comult)
+            dnz = tuple(
+                tuple((j, k, d) for j, row in enumerate(sl) for k, d in enumerate(row) if d)
+                for sl in delta
+            )
+            object.__setattr__(self, "_ints", (dnz, sd) + lift_to_ints(self.field, self.counit))
+        return self._ints
 
     def __eq__(self, other):
         if not isinstance(other, FiniteCoalgebra):
@@ -178,8 +209,7 @@ def check_algebra(a: FiniteAlgebra) -> Verdict:
     """Associativity and unit law, exhaustively on basis tuples (on lifted ints)."""
     n = a.dim
     violations = []
-    mu, sm = lift_to_ints(a.field, a.mult)
-    nz = [[tuple((k, c) for k, c in enumerate(row) if c) for row in sl] for sl in mu]
+    nz, sm, unit, su = a.ints()
     for i in range(n):
         for j in range(n):
             # (b_i b_j) b_k and b_i (b_j b_k) for every k, at k * n + l
@@ -196,7 +226,6 @@ def check_algebra(a: FiniteAlgebra) -> Verdict:
                 for k in range(n):
                     sides = (lhs[k * n:(k + 1) * n], sm * sm, rhs[k * n:(k + 1) * n], sm * sm)
                     violations += law_violations(a.field, "associativity", (i, j, k), *sides)
-    unit, su = lift_to_ints(a.field, a.unit)
     for i in range(n):
         one = [int(t == i) for t in range(n)]
         left = [0] * n
@@ -216,12 +245,7 @@ def check_coalgebra(c: FiniteCoalgebra) -> Verdict:
     n = c.dim
     field = c.field
     violations = []
-    delta, sd = lift_to_ints(field, c.comult)
-    eps, se = lift_to_ints(field, c.counit)
-    nz = [
-        tuple((j, k, d) for j, row in enumerate(sl) for k, d in enumerate(row) if d)
-        for sl in delta
-    ]
+    nz, sd, eps, se = c.ints()
 
     def terms(flat):
         """The nonzero ((a, b, k), value) of an n^3 vector at scale sd^2, in order."""
@@ -272,17 +296,27 @@ def dual(x):
 
 
 def opposite(a: FiniteAlgebra) -> FiniteAlgebra:
+    """b_i *op b_j = b_j b_i; its int tables are a's, transposed."""
     n = a.dim
     mult = [[a.mult[j][i] for j in range(n)] for i in range(n)]
-    return FiniteAlgebra(a.field, a.labels, mult, a.unit)
+    out = FiniteAlgebra(a.field, a.labels, mult, a.unit)
+    mnz, sm, unit, su = a.ints()
+    mnz = tuple(tuple(mnz[j][i] for j in range(n)) for i in range(n))
+    object.__setattr__(out, "_ints", (mnz, sm, unit, su))
+    return out
 
 
 def coopposite(c: FiniteCoalgebra) -> FiniteCoalgebra:
+    """Delta^cop(x) = x_(2) (x) x_(1); its int tables are c's, with the legs swapped."""
     n = c.dim
     comult = [
         [[c.comult[i][k][j] for k in range(n)] for j in range(n)] for i in range(n)
     ]
-    return FiniteCoalgebra(c.field, c.labels, comult, c.counit)
+    out = FiniteCoalgebra(c.field, c.labels, comult, c.counit)
+    dnz, sd, counit, se = c.ints()
+    dnz = tuple(tuple(sorted((k, j, d) for j, k, d in row)) for row in dnz)
+    object.__setattr__(out, "_ints", (dnz, sd, counit, se))
+    return out
 
 
 def center(a: FiniteAlgebra) -> Subspace:
@@ -291,7 +325,6 @@ def center(a: FiniteAlgebra) -> Subspace:
     if not verdict.ok:
         raise PreconditionError(f"center of an invalid algebra: {verdict.describe()}")
     n = a.dim
-    z = a.field.zero
     rows = []
     for i in range(n):
         for k in range(n):

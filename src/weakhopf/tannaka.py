@@ -50,7 +50,7 @@ RECONSTRUCTION_LAYERS = (
 class WeakBialgebraMap:
     """A verified map of weak bialgebras (algebra map and coalgebra map)."""
 
-    __slots__ = ("source", "target", "matrix", "_phi_s_bijective")
+    __slots__ = ("source", "target", "matrix", "_phi_s_bijective", "_induced")
 
     def __init__(self, source: WeakBialgebra, target: WeakBialgebra, matrix: Matrix):
         verdict = map_verdict(matrix, source, target)
@@ -60,6 +60,7 @@ class WeakBialgebraMap:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_phi_s_bijective", None)
+        object.__setattr__(self, "_induced", {})
 
     def __setattr__(self, name, val):
         raise AttributeError("WeakBialgebraMap is immutable")
@@ -80,6 +81,13 @@ class WeakBialgebraMap:
             bij = inverse(self.source_restriction()) is not None
             object.__setattr__(self, "_phi_s_bijective", bij)
         return self._phi_s_bijective
+
+    def induced(self, m: Comodule) -> Comodule:
+        """M^phi(m), built on the first request for m and kept on this map."""
+        m_k = self._induced.get(m)
+        if m_k is None:
+            m_k = self._induced[m] = induced_functor(self, m)
+        return m_k
 
     def __repr__(self):
         return f"WeakBialgebraMap({self.source!r} -> {self.target!r})"
@@ -231,25 +239,18 @@ def comonoidal_structure(
 
     The map is induced by the identity of the plain tensor product; it is
     always surjective, and bijective whenever phi restricted to the source
-    subalgebras is bijective.  A caller that handles many pairs may pass the
-    induced comodules M^phi(a), M^phi(b), built once; each is checked to be
-    exactly the induced comodule.
+    subalgebras is bijective.  M^phi(a) and M^phi(b) are built once per map
+    (`WeakBialgebraMap.induced`); induced comodules a caller passes as a_k
+    and b_k must have exactly their structure.
     """
     if a.over is not phi.source or b.over is not phi.source:
         raise MalformedInput("comodules are not over the map's source")
-    for m, m_k in ((a, a_k), (b, b_k)):
-        if m_k is not None and (
-            m_k.over is not phi.target
-            or m_k.dim != m.dim
-            or m_k.coaction != induced_coaction(phi.matrix, m, phi.target)
-        ):
+    induced = phi.induced(a), phi.induced(b)
+    for m_k, want in zip((a_k, b_k), induced):
+        if m_k is not None and m_k is not want and not m_k.same_structure(want):
             raise MalformedInput("comodule is not the induced comodule over the map's target")
     t_h = tensor_over_source(a, b)
-    if a_k is None:
-        a_k = induced_functor(phi, a)
-    if b_k is None:
-        b_k = induced_functor(phi, b)
-    t_k = tensor_over_source(a_k, b_k)
+    t_k = tensor_over_source(*induced)
     src = induced_functor(phi, t_h)
     mat = t_k.projection.mul(t_h.section)
     verdict = comodule_map_verdict(src, t_k, mat)
@@ -437,11 +438,9 @@ def reconstruct_weak_bialgebra_map(fd: FunctorData) -> ReconstructionResult:
     if all(v.ok for _, v in layers):
         bmap = WeakBialgebraMap(h, k, phi)
         comods = [m for m, _ in fd.assignments]
-        # each assignment's comodule over the target, built once for all pairs
-        induced = [induced_functor(bmap, m) for m in comods]
-        for i, (m, m_k) in enumerate(zip(comods, induced)):
-            for j, (m2, m2_k) in enumerate(zip(comods, induced)):
-                res = comonoidal_structure(bmap, m, m2, a_k=m_k, b_k=m2_k)
+        for i, m in enumerate(comods):
+            for j, m2 in enumerate(comods):
+                res = comonoidal_structure(bmap, m, m2)
                 if not res.comodule_map_verdict.ok:
                     como_violations.append(
                         Violation("iota not a comodule map", (i, j), res.comodule_map_verdict.describe(), None)
