@@ -880,13 +880,14 @@ def split_comodule(h: WeakBialgebra, com: Comodule, blocks: BlockData | None = N
     n = h.dim
     pieces = []
     spaces = []
+    com_nz = [com.coact_nonzeros(i) for i in range(com.dim)]
     for s, emb, proj in zip(data.summands, data.embeddings, data.projections):
         e = emb.apply(s.unit)
         ml = h.mult_matrix(e)
         gamma = [h.counit_of(ml.col(j)) for j in range(n)]
         q = [{} for _ in range(com.dim)]
         for b in range(com.dim):
-            for (a, j), c in com.coact_nonzeros(b):
+            for (a, j), c in com_nz[b]:
                 if gamma[j]:
                     q[a][b] = q[a].get(b, z) + c * gamma[j]
         space = column_space(Matrix._from_dicts(field, q, com.dim))
@@ -897,7 +898,7 @@ def split_comodule(h: WeakBialgebra, com: Comodule, blocks: BlockData | None = N
         for b, v in enumerate(space.nz):
             acc = {}
             for i, x in v:
-                for (a, j), c in com.coact_nonzeros(i):
+                for (a, j), c in com_nz[i]:
                     for r2, p in proj_cols[j]:
                         key = (a, r2)
                         acc[key] = acc.get(key, z) + x * c * p

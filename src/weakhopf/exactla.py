@@ -223,6 +223,8 @@ def GF(p: int) -> FieldSpec:
 
 def parse_field_name(name: str) -> FieldSpec:
     """Parse "Q" or "GF(p)" as used in documents and CLI flags."""
+    if not isinstance(name, str):
+        raise MalformedInput(f"field name must be a string, got {name!r}")
     if name == "Q":
         return QQ
     m = re.match(r"^GF\((\d+)\)$", name)
@@ -314,33 +316,51 @@ def ints_differ(p: int, u, su: int, v, sv: int) -> bool:
 def ints_to_field(field: FieldSpec, data, scale: int):
     """The field vector or nested tensor ints / scale (undoes `lift_to_ints`)."""
     if field.kind == "rationals":
-        of = lambda x: Fraction(x, scale)
+        of = Fraction if scale == 1 else lambda x: Fraction(x, scale)
     else:
         of = lambda x: Mod(x, field.characteristic)
     return _renest(data, iter([tuple([of(x) for x in row]) for row in _rows(data)]))
 
 
 def ints_rank(p: int, rows) -> int:
-    """The rank over GF(p), or over Q when p == 0, of a matrix given by int rows.
+    """The rank over GF(p), or over Q when p == 0, of a matrix given by int rows."""
+    return len(_int_echelon(p, [dict(enumerate(row)) for row in rows]))
 
-    Each row is reduced by the pivot rows kept so far: over GF(p) by residues
-    against pivots scaled to 1, over Q fraction-free with the row's content
-    divided out.
+
+def _int_echelon(p: int, rows) -> dict:
+    """{pivot column: row} of int {column: int} rows reduced to echelon form.
+
+    Each row is reduced by the pivot rows kept so far until its leading
+    column is new: over GF(p) by residues against pivot rows scaled to 1,
+    over Q (p == 0) fraction-free with the row's content divided out.
     """
-    pivots = []
+    pivots = {}
     for row in rows:
-        r = [x % p for x in row] if p else list(row)
-        for c, q in pivots:
-            f = r[c]
-            if f and p:
-                r = [(x - f * y) % p for x, y in zip(r, q)]
-            elif f:
-                r = [q[c] * x - f * y for x, y in zip(r, q)]
-        if any(r):
-            c = next(j for j, x in enumerate(r) if x)
-            d = pow(r[c], -1, p) if p else gcd(*r)
-            pivots.append((c, [x * d % p for x in r] if p else [x // d for x in r]))
-    return len(pivots)
+        row = {j: x % p for j, x in row.items() if x % p} if p else {j: x for j, x in row.items() if x}
+        while row:
+            c = min(row)
+            q = pivots.get(c)
+            if q is None:
+                inv = pow(row[c], -1, p) if p else 0
+                pivots[c] = {j: x * inv % p for j, x in row.items()} if p else _primitive(row)
+                break
+            row = _int_clear(p, row, q, c)
+    return pivots
+
+
+def _int_clear(p: int, row: dict, q: dict, c) -> dict:
+    """row with column c cleared by the pivot row q, zeros dropped."""
+    f, lead = row[c], q[c]
+    if p:
+        out = {j: (row.get(j, 0) - f * q.get(j, 0)) % p for j in row.keys() | q.keys()}
+        return {j: x for j, x in out.items() if x}
+    out = {j: lead * row.get(j, 0) - f * q.get(j, 0) for j in row.keys() | q.keys()}
+    return _primitive({j: x for j, x in out.items() if x})
+
+
+def _primitive(row: dict) -> dict:
+    g = gcd(*row.values())
+    return {j: x // g for j, x in row.items()} if g > 1 else row
 
 
 class Matrix:
@@ -395,13 +415,25 @@ class Matrix:
         return Matrix._sparse(field, nz, cols)
 
     @staticmethod
-    def from_ints(field: FieldSpec, rows, scale: int, cols: int) -> "Matrix":
-        """The matrix of int rows / scale (undoes a lift; see `ints_to_field`)."""
+    def from_int_cols(field: FieldSpec, cols, scale: int, rows: int) -> "Matrix":
+        """The matrix whose column c is the {row: int} dict cols[c] / scale, with its
+        lift kept as `col_ints` gives it: over Q with the content shared with the
+        scale divided out (the lcm of the denominators remains), over GF(p) residues."""
         p = field.characteristic
-        nz = [[(j, x) for j, x in enumerate(row) if (x % p if p else x)] for row in rows]
-        it = iter(ints_to_field(field, tuple([x for row in nz for _, x in row]), scale))
-        nz = tuple([tuple([(j, next(it)) for j, _ in row]) for row in nz])
-        return Matrix._sparse(field, nz, cols)
+        lifted = [sorted([(r, x % p if p else x) for r, x in col.items() if (x % p if p else x)])
+                  for col in cols]
+        g = scale if p else gcd(scale, *[x for col in lifted for _, x in col])
+        if g > 1 and not p:
+            lifted = [[(r, x // g) for r, x in col] for col in lifted]
+        scale //= g
+        values = iter(ints_to_field(field, tuple([x for col in lifted for _, x in col]), scale))
+        out = [[] for _ in range(rows)]
+        for c, col in enumerate(lifted):
+            for r, _ in col:
+                out[r].append((c, next(values)))
+        m = Matrix._sparse(field, tuple(map(tuple, out)), len(cols))
+        object.__setattr__(m, "_col_ints", (tuple(map(tuple, lifted)), scale))
+        return m
 
     @staticmethod
     def zeros(field: FieldSpec, rows: int, cols: int) -> "Matrix":
@@ -567,54 +599,43 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} over {self.field}: {body})"
 
 
-def _subtract(row: dict, f, pivot: dict) -> None:
-    """row -= f * pivot, on {column: value} rows, dropping the zeros."""
-    for j, x in pivot.items():
-        v = row.get(j)
-        if v is None:
-            row[j] = -f * x
-        else:
-            v = v - f * x
-            if v:
-                row[j] = v
-            else:
-                del row[j]
-
-
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form with pivot columns (Gauss-Jordan, exact).
+    """Reduced row echelon form with pivot columns (Gauss-Jordan, exact)."""
+    nz, pivots = _int_rref(m.field, _row_ints(m))
+    return Matrix._sparse(m.field, nz + ((),) * (m.rows - len(nz)), m.cols), pivots
 
-    Rows are eliminated as {column: value} dicts, so the work follows the
-    nonzeros.  Each row is reduced by the pivot rows found so far until its
-    leading column is new, and becomes the pivot row there; a last pass,
-    from the rightmost pivot, clears each pivot column in the rows above.
+
+def _row_ints(m: Matrix) -> list:
+    """The rows of m as {column: int} dicts, each row lifted on its own."""
+    if m.field.characteristic:
+        return [{j: x.value for j, x in row} for row in m.nz]
+    rows = []
+    for row in m.nz:
+        d = lcm(*[x.denominator for _, x in row])
+        rows.append({j: x.numerator * (d // x.denominator) for j, x in row})
+    return rows
+
+
+def _int_rref(field: FieldSpec, rows) -> tuple:
+    """(nz, pivots): the reduced echelon form of {column: int} rows as field rows, and its pivots.
+
+    `_int_echelon` reduces the rows, so the work follows the nonzeros; a last
+    pass, from the rightmost pivot, clears each pivot column in the rows
+    above, and each row is divided by its pivot entry.
     """
-    one = m.field.one
-    pivot_rows = {}
-    for r in m.nz:
-        row = dict(r)
-        while row:
-            c = min(row)
-            p = pivot_rows.get(c)
-            if p is None:
-                lead = row[c]
-                if lead != one:
-                    inv = one / lead
-                    for j in row:
-                        row[j] = row[j] * inv
-                pivot_rows[c] = row
-                break
-            _subtract(row, row[c], p)
+    p = field.characteristic
+    pivot_rows = _int_echelon(p, rows)
     pivots = sorted(pivot_rows)
     for k in range(len(pivots) - 1, 0, -1):
-        p = pivot_rows[pivots[k]]
+        q = pivot_rows[pivots[k]]
         for c in pivots[:k]:
-            row = pivot_rows[c]
-            f = row.get(pivots[k])
-            if f is not None:
-                _subtract(row, f, p)
-    nz = tuple([tuple(sorted(pivot_rows[c].items())) for c in pivots])
-    return Matrix._sparse(m.field, nz + ((),) * (m.rows - len(pivots)), m.cols), tuple(pivots)
+            if pivots[k] in pivot_rows[c]:
+                pivot_rows[c] = _int_clear(p, pivot_rows[c], q, pivots[k])
+    nz = []
+    for c in pivots:
+        cols, xs = zip(*sorted(pivot_rows[c].items()))
+        nz.append(tuple(zip(cols, ints_to_field(field, xs, pivot_rows[c][c]))))
+    return tuple(nz), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -695,25 +716,27 @@ class Subspace:
                 raise MalformedInput(
                     f"vector of length {len(v)} in ambient dimension {ambient_dim}"
                 )
-        self._init(field, ambient_dim, Matrix(field, vectors, cols=ambient_dim))
+        rows = _row_ints(Matrix(field, vectors, cols=ambient_dim))
+        self._init(field, ambient_dim, _int_rref(field, rows))
 
     @staticmethod
     def row_space(m: Matrix) -> "Subspace":
         """The span of the rows of m."""
+        return Subspace.from_int_rows(m.field, m.cols, _row_ints(m))
+
+    @staticmethod
+    def from_int_rows(field: FieldSpec, ambient_dim: int, rows) -> "Subspace":
+        """The span of the {index: int} rows (each at any scale)."""
         s = object.__new__(Subspace)
-        s._init(m.field, m.cols, m)
+        s._init(field, ambient_dim, _int_rref(field, rows))
         return s
 
-    def _init(self, field, ambient_dim, mat):
-        if mat.rows:
-            red, pivots = rref(mat)
-            nz = red.nz[: len(pivots)]
-        else:
-            nz, pivots = (), ()
+    def _init(self, field, ambient_dim, echelon):
+        nz, pivots = echelon
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "nz", nz)
-        object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "pivots", pivots)
         object.__setattr__(self, "_basis", None)
         object.__setattr__(self, "_ints", None)
 

@@ -99,8 +99,11 @@ def wba_from_document(doc: dict):
     if "antipode" in doc:
         s = Matrix(field, _parse_scalar_grid(field, doc["antipode"], (dim, dim), "antipode"), cols=dim)
         h = h.with_antipode(s)
+    entries = doc.get("comodules", [])
+    if not isinstance(entries, list):
+        raise MalformedInput("comodules must be a list")
     comodules = {}
-    for i, entry in enumerate(doc.get("comodules", [])):
+    for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise MalformedInput(f"comodules[{i}]: expected an object")
         name = entry.get("name")
@@ -156,23 +159,34 @@ def document_from_wba(h: WeakBialgebra, comodules: dict | None = None) -> dict:
 def resolve_comodule(h: WeakBialgebra, named: dict, expr: str) -> Comodule:
     """Resolve "regular", "unit", a document name, or a left-associated
     '*'-separated tensor expression over those."""
-    parts = [p.strip() for p in expr.split("*")]
-    if any(not p for p in parts):
-        raise MalformedInput(f"bad comodule expression {expr!r}")
+    return _resolver(h, named)(expr)
+
+
+def _resolver(h: WeakBialgebra, named: dict):
+    """`resolve_comodule` for the expressions of one document: each leaf is
+    resolved, and "regular" and "unit" built, at most once."""
+    leaves = {}
 
     def leaf(name):
-        if name == "regular":
-            return regular_comodule(h)
-        if name == "unit":
-            return unit_comodule(h)
-        if name in named:
-            return named[name]
-        raise MalformedInput(f"unknown comodule name {name!r}")
+        if name not in leaves:
+            if name in ("regular", "unit"):
+                leaves[name] = (regular_comodule if name == "regular" else unit_comodule)(h)
+            elif name in named:
+                leaves[name] = named[name]
+            else:
+                raise MalformedInput(f"unknown comodule name {name!r}")
+        return leaves[name]
 
-    out = leaf(parts[0])
-    for p in parts[1:]:
-        out = tensor_over_source(out, leaf(p))
-    return out
+    def resolve(expr):
+        parts = [p.strip() for p in expr.split("*")]
+        if any(not p for p in parts):
+            raise MalformedInput(f"bad comodule expression {expr!r}")
+        out = leaf(parts[0])
+        for p in parts[1:]:
+            out = tensor_over_source(out, leaf(p))
+        return out
+
+    return resolve
 
 
 def functor_from_document(
@@ -187,13 +201,14 @@ def functor_from_document(
     if not isinstance(entries, list) or not entries:
         raise MalformedInput("assignments must be a nonempty list")
     nk = target.dim
+    resolve = _resolver(source, source_comodules)
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise MalformedInput(f"assignments[{i}]: expected an object")
         expr = entry.get("comodule")
         if not isinstance(expr, str):
             raise MalformedInput(f"assignments[{i}]: missing comodule name")
-        com = resolve_comodule(source, source_comodules, expr)
+        com = resolve(expr)
         rows = _parse_scalar_grid(
             target.field,
             entry.get("coaction"),

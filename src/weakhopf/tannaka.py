@@ -25,15 +25,17 @@ from .errors import (
     Verdict,
     Violation,
 )
-from .exactla import Matrix, inverse, rank, vec_zero
+from .exactla import Matrix, ints_differ, ints_to_field, inverse, rank
 from .comod import (
     Comodule,
+    ComoduleMap,
     TensorComodule,
     coaction_verdict,
     comodule_map_verdict,
     tensor_over_source,
 )
-from .weakbia import WeakBialgebra
+from .structure import law_violations
+from .weakbia import WeakBialgebra, _comul, _dense, _mul
 
 RECONSTRUCTION_LAYERS = (
     "comodule-validity",
@@ -101,59 +103,61 @@ def map_verdict(phi: Matrix, source: WeakBialgebra, target: WeakBialgebra) -> Ve
         raise MalformedInput(
             f"map must be {target.dim}x{source.dim}, got {phi.rows}x{phi.cols}"
         )
-    violations = []
-    violations.extend(_algebra_map_violations(phi, source, target))
-    violations.extend(_coalgebra_map_violations(phi, source, target))
-    for r, y in enumerate(source.hs.basis):
-        if not target.hs.contains(phi.apply(y)):
-            violations.append(Violation("phi(H_s) in K_s", (r,), phi.apply(y), None))
-    for r, z in enumerate(source.ht.basis):
-        if not target.ht.contains(phi.apply(z)):
-            violations.append(Violation("phi(H_t) in K_t", (r,), phi.apply(z), None))
+    violations = _algebra_map_violations(phi, source, target)
+    violations += _coalgebra_map_violations(phi, source, target)
+    subalgebras = (("phi(H_s) in K_s", source.hs, target.hs), ("phi(H_t) in K_t", source.ht, target.ht))
+    for law, sub, sub_k in subalgebras:
+        for r, y in enumerate(sub.basis):
+            if not sub_k.contains(phi.apply(y)):
+                violations.append(Violation(law, (r,), phi.apply(y), None))
     return Verdict(tuple(violations))
 
 
 def _algebra_map_violations(phi, source, target):
-    n = source.dim
+    field = source.field
+    nk = target.dim
+    mnz, sm, unit, su = source.alg.ints()
+    knz, sk, kunit, sku = target.alg.ints()
+    cols, sp = phi.col_ints()
+    img = [_dense(col, nk) for col in cols]
     out = []
-    basis_img = [phi.col(i) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            lhs = phi.apply(source.mult[i][j])
-            rhs = target.multiply(basis_img[i], basis_img[j])
-            if lhs != rhs:
-                out.append(Violation("not multiplicative", (i, j), lhs, rhs))
-    lhs = phi.apply(source.unit)
-    if lhs != target.unit:
-        out.append(Violation("unit mismatch", (), lhs, target.unit))
-    return out
+    for i, row in enumerate(mnz):
+        for j, terms in enumerate(row):
+            lhs = _image(cols, terms, nk)
+            rhs = _mul(knz, img[i], img[j])
+            out += law_violations(field, "not multiplicative", (i, j), lhs, sm * sp, rhs, sk * sp * sp)
+    lhs = _image(cols, enumerate(unit), nk)
+    return out + law_violations(field, "unit mismatch", (), lhs, su * sp, kunit, sku)
 
 
 def _coalgebra_map_violations(phi, source, target):
-    n = source.dim
-    nk = target.dim
     field = source.field
-    cols = phi.col_nz()
+    nk = target.dim
+    dnz, sd, eps, se = source.coa.ints()
+    knz, sk, keps, ske = target.coa.ints()
+    cols, sp = phi.col_ints()
     out = []
-    for i in range(n):
-        lhs = target.comultiply(phi.col(i))
-        rhs = list(vec_zero(field, nk * nk))
-        for j in range(n):
-            row = source.comult[i][j]
-            for k in range(n):
-                d = row[k]
-                if not d:
-                    continue
-                for a, x in cols[j]:
-                    base = a * nk
-                    dx = d * x
-                    for b, y in cols[k]:
-                        rhs[base + b] = rhs[base + b] + dx * y
-        if lhs != tuple(rhs):
-            out.append(Violation("not comultiplicative", (i,), lhs, tuple(rhs)))
-        eps_lhs = target.counit_of(phi.col(i))
-        if eps_lhs != source.counit[i]:
+    for i, terms in enumerate(dnz):
+        lhs = _comul(knz, _dense(cols[i], nk))
+        rhs = [0] * (nk * nk)
+        for j, k, d in terms:
+            for a, x in cols[j]:
+                for b, y in cols[k]:
+                    rhs[a * nk + b] += d * x * y
+        out += law_violations(field, "not comultiplicative", (i,), lhs, sk * sp, rhs, sd * sp * sp)
+        eps_lhs = sum([keps[r] * x for r, x in cols[i]])
+        if ints_differ(field.characteristic, (eps_lhs,), ske * sp, (eps[i],), se):
+            (eps_lhs,) = ints_to_field(field, (eps_lhs,), ske * sp)
             out.append(Violation("counit mismatch", (i,), eps_lhs, source.counit[i]))
+    return out
+
+
+def _image(cols, terms, rows: int) -> list:
+    """phi applied to the vector with (index, int) pairs terms, on phi's lifted columns."""
+    out = [0] * rows
+    for j, u in terms:
+        for r, v in cols[j]:
+            out[r] += u * v
     return out
 
 
@@ -168,15 +172,14 @@ def check_map(phi: Matrix, source: WeakBialgebra, target: WeakBialgebra):
 def induced_coaction(phi: Matrix, m: Comodule, target: WeakBialgebra) -> Matrix:
     """(id_M (x) phi) . rho_M as a coaction matrix into M (x) K."""
     nk = target.dim
-    z = target.field.zero
-    rows = [{} for _ in range(m.dim * nk)]
-    cols = phi.col_nz()
-    for i in range(m.dim):
-        for (a, j), c in m.coact_nonzeros(i):
-            for k, p in cols[j]:
-                row = rows[a * nk + k]
-                row[i] = row.get(i, z) + c * p
-    return Matrix._from_dicts(target.field, rows, m.dim)
+    cols, sp = phi.col_ints()
+    nz, s = m.ints()
+    out = [{} for _ in range(m.dim)]
+    for col, terms in zip(out, nz):
+        for a, j, c in terms:
+            for k, v in cols[j]:
+                col[a * nk + k] = col.get(a * nk + k, 0) + c * v
+    return Matrix.from_int_cols(target.field, out, s * sp, m.dim * nk)
 
 
 def induced_functor(phi: WeakBialgebraMap, m: Comodule) -> Comodule:
@@ -188,11 +191,7 @@ def induced_functor(phi: WeakBialgebraMap, m: Comodule) -> Comodule:
 
 def induced_map(phi: WeakBialgebraMap, f):
     """Transport a comodule map along the induced functor (same matrix)."""
-    from .comod import ComoduleMap
-
-    return ComoduleMap(
-        induced_functor(phi, f.source), induced_functor(phi, f.target), f.matrix
-    )
+    return ComoduleMap(induced_functor(phi, f.source), induced_functor(phi, f.target), f.matrix)
 
 
 def _phi_s_matrix(phi: Matrix, source: WeakBialgebra, target: WeakBialgebra) -> Matrix:
@@ -356,16 +355,14 @@ def _coalgebra_layers(fd: FunctorData):
     layers.append(("comodule-validity", Verdict(tuple(validity))))
 
     _, rho_reg = fd.regular_assignment()
-    z = field.zero
-    phi_rows = [{} for _ in range(nk)]
-    eps = h.counit
-    rho_cols = rho_reg.col_nz()
-    for i in range(n):
-        for idx, c in rho_cols[i]:
+    _, _, eps, se = h.coa.ints()
+    rho_cols, sr = rho_reg.col_ints()
+    phi_cols = [{} for _ in range(n)]
+    for col, terms in zip(phi_cols, rho_cols):
+        for idx, c in terms:
             a, kk = divmod(idx, nk)
-            if eps[a]:
-                phi_rows[kk][i] = phi_rows[kk].get(i, z) + eps[a] * c
-    phi = Matrix._from_dicts(field, phi_rows, n)
+            col[kk] = col.get(kk, 0) + eps[a] * c
+    phi = Matrix.from_int_cols(field, phi_cols, se * sr, nk)
 
     layers.append(("coalgebra-map", Verdict(tuple(_coalgebra_map_violations(phi, h, k)))))
 
@@ -383,16 +380,17 @@ def _coalgebra_layers(fd: FunctorData):
 
     # Remark 3.2: phi is a K-comodule map from (H, rho^F) to (K, Delta_K)
     rem = []
-    phi_cols = phi.col_nz()
+    knz, sk, _, _ = k.coa.ints()
+    phi_cols, sp = phi.col_ints()
     for i in range(n):
-        lhs = k.comultiply(phi.col(i))
-        rhs = list(vec_zero(field, nk * nk))
+        lhs = _comul(knz, _dense(phi_cols[i], nk))
+        rhs = [0] * (nk * nk)
         for idx, c in rho_cols[i]:
             a, kk = divmod(idx, nk)
-            for b, p in phi_cols[a]:
-                rhs[b * nk + kk] = rhs[b * nk + kk] + c * p
-        if lhs != tuple(rhs):
-            rem.append(Violation("Delta_K . phi != (phi (x) id) rho^F", (i,), lhs, tuple(rhs)))
+            for b, v in phi_cols[a]:
+                rhs[b * nk + kk] += c * v
+        law = "Delta_K . phi != (phi (x) id) rho^F"
+        rem += law_violations(field, law, (i,), lhs, sk * sp, rhs, sr * sp)
     layers.append(("comodule-map-property", Verdict(tuple(rem))))
     return phi, layers
 

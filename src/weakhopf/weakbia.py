@@ -36,6 +36,7 @@ from .exactla import (
     ints_to_field,
     kernel_basis,
     kernel_space,
+    lift_to_ints,
     solve,
     vec_unit,
 )
@@ -74,11 +75,7 @@ class WeakBialgebra:
         "hs",
         "antipode",
         "blocks",
-        "_etable",
-        "_mult_nz",
-        "_comult_nz",
-        "_counital_pairs",
-        "_source_eps_rows",
+        "_comodule_ints",
     )
 
     def __init__(self, alg, coa, eps, ht, hs, antipode=None, blocks=None):
@@ -92,11 +89,7 @@ class WeakBialgebra:
         object.__setattr__(self, "hs", hs)
         object.__setattr__(self, "antipode", antipode)
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "_etable", None)
-        object.__setattr__(self, "_mult_nz", None)
-        object.__setattr__(self, "_comult_nz", None)
-        object.__setattr__(self, "_counital_pairs", None)
-        object.__setattr__(self, "_source_eps_rows", None)
+        object.__setattr__(self, "_comodule_ints", None)
 
     def __setattr__(self, name, val):
         raise AttributeError("WeakBialgebra is immutable")
@@ -141,115 +134,42 @@ class WeakBialgebra:
     def comult_matrix(self) -> Matrix:
         """Delta as an (n*n) x n matrix on column vectors."""
         n = self.dim
-        cols = [comultiply(self.coa, vec_unit(self.field, n, i)) for i in range(n)]
-        return Matrix.from_cols(self.field, cols, rows=n * n)
-
-    def eps_pair_table(self):
-        """E[i][j] = eps(b_i b_j); computed once and cached."""
-        cached = getattr(self, "_etable", None)
-        if cached is not None:
-            return cached
-        n = self.dim
-        eps = self.coa.counit
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = self.field.zero
-                for l, c in enumerate(self.alg.mult[i][j]):
-                    if c and eps[l]:
-                        acc = acc + c * eps[l]
-                row.append(acc)
-            out.append(tuple(row))
-        table = tuple(out)
-        try:
-            object.__setattr__(self, "_etable", table)
-        except AttributeError:
-            pass
-        return table
-
-    def mult_nz(self):
-        """Sparse multiplication table: mult_nz()[i][j] = ((k, coeff), ...)."""
-        cached = getattr(self, "_mult_nz", None)
-        if cached is not None:
-            return cached
-        mu = self.alg.mult
-        n = self.dim
-        table = tuple(
-            tuple(
-                tuple((k, c) for k, c in enumerate(mu[i][j]) if c) for j in range(n)
-            )
-            for i in range(n)
-        )
-        try:
-            object.__setattr__(self, "_mult_nz", table)
-        except AttributeError:
-            pass
-        return table
+        dnz, sd, _, _ = self.coa.ints()
+        cols = [{a * n + b: d for a, b, d in terms} for terms in dnz]
+        return Matrix.from_int_cols(self.field, cols, sd, n * n)
 
     def mult_matrix(self, x, right: bool = False) -> Matrix:
         """Left multiplication by x (right multiplication with right=True), as a matrix."""
         n = self.dim
-        z = self.field.zero
-        mu = self.mult_nz()
-        rows = [{} for _ in range(n)]
-        for i, c in enumerate(x):
-            if not c:
-                continue
-            for j in range(n):
-                for k, p in mu[j][i] if right else mu[i][j]:
-                    rows[k][j] = rows[k].get(j, z) + c * p
-        return Matrix._from_dicts(self.field, rows, n)
+        mnz, sm, _, _ = self.alg.ints()
+        xs, sx = lift_to_ints(self.field, tuple(x))
+        cols = [{} for _ in range(n)]
+        for i, c in enumerate(xs):
+            if c:
+                for j in range(n):
+                    for k, v in mnz[j][i] if right else mnz[i][j]:
+                        cols[j][k] = cols[j].get(k, 0) + c * v
+        return Matrix.from_int_cols(self.field, cols, sx * sm, n)
 
-    def comult_nz(self):
-        """Sparse comultiplication: comult_nz()[j] = ((j2, k2, coeff), ...)."""
-        cached = getattr(self, "_comult_nz", None)
-        if cached is not None:
-            return cached
-        delta = self.coa.comult
-        table = tuple(
-            tuple(
-                (a, b, c)
-                for a, row in enumerate(delta[j])
-                for b, c in enumerate(row)
-                if c
-            )
-            for j in range(self.dim)
-        )
-        try:
-            object.__setattr__(self, "_comult_nz", table)
-        except AttributeError:
-            pass
-        return table
-
-    def counital_pair_tables(self):
-        """(L, R) with L[j][i] = eps(eps_s'(b_j) b_i) and R[j][i] = eps(b_i eps_s(b_j))."""
-        cached = self._counital_pairs
-        if cached is not None:
-            return cached
-        e = self.eps_pair_table()
-        e_t = tuple(zip(*e))
-        n = self.dim
-        tables = (
-            tuple(_combine_rows(self.field, self.eps_s_prime.col(j), e) for j in range(n)),
-            tuple(_combine_rows(self.field, self.eps_s.col(j), e_t) for j in range(n)),
-        )
-        object.__setattr__(self, "_counital_pairs", tables)
-        return tables
-
-    def source_eps_rows(self):
-        """For each H_s basis vector y, the rows (eps(y b_j))_j and (eps(b_j y))_j."""
-        cached = self._source_eps_rows
-        if cached is not None:
-            return cached
-        e = self.eps_pair_table()
-        e_t = tuple(zip(*e))
-        table = tuple(
-            (_combine_rows(self.field, y, e), _combine_rows(self.field, y, e_t))
-            for y in self.hs.basis
-        )
-        object.__setattr__(self, "_source_eps_rows", table)
-        return table
+    def comodule_ints(self):
+        """(L, R, sp, Y, sy), the tables of the comodule kernels, lifted on first
+        use and kept: L[j][i] / sp = eps(eps_s'(b_j) b_i), R[j][i] / sp =
+        eps(b_i eps_s(b_j)), and Y holds per H_s basis vector y the int rows
+        (eps(y b_j))_j and (eps(b_j y))_j at scale sy."""
+        if self._comodule_ints is None:
+            mnz, sm, _, _ = self.alg.ints()
+            _, _, eps, se = self.coa.ints()
+            e = _eps_pairs(mnz, eps)
+            et = tuple(zip(*e))
+            (lc, sl), (rc, sr) = self.eps_s_prime.col_ints(), self.eps_s.col_ints()
+            left = tuple([_rows_sum([(c, v * sr) for c, v in col], e) for col in lc])
+            right = tuple([_rows_sum([(c, v * sl) for c, v in col], et) for col in rc])
+            ys, sy = self.hs.ints()
+            terms = [[(k, v) for k, v in enumerate(y) if v] for y in ys]
+            rows = tuple([(_rows_sum(t, e), _rows_sum(t, et)) for t in terms])
+            tables = (left, right, sl * sr * sm * se, rows, sy * sm * se)
+            object.__setattr__(self, "_comodule_ints", tables)
+        return self._comodule_ints
 
     def with_antipode(self, s: Matrix) -> "WeakBialgebra":
         verdict = verify_antipode(self, s)
@@ -293,16 +213,19 @@ class WeakBialgebra:
         return f"WeakBialgebra(dim {self.dim} over {self.field})"
 
 
-def _combine_rows(field, coeffs, rows) -> tuple:
-    """sum_c coeffs[c] * rows[c] for the rows of a square table."""
-    out = [field.zero] * len(rows)
-    for coef, row in zip(coeffs, rows):
-        if not coef:
-            continue
-        for i, x in enumerate(row):
+def _rows_sum(terms, rows) -> tuple:
+    """sum v * rows[c] over the (c, v) pairs of terms, for the int rows of a square table."""
+    out = [0] * len(rows)
+    for c, v in terms:
+        for i, x in enumerate(rows[c]):
             if x:
-                out[i] = out[i] + coef * x
+                out[i] += v * x
     return tuple(out)
+
+
+def _int_matrix(field, rows, scale: int) -> Matrix:
+    """The matrix of the dense int rows / scale."""
+    return Matrix.from_int_cols(field, [dict(enumerate(c)) for c in zip(*rows)], scale, len(rows))
 
 
 def _mul(mnz, x, y) -> list:
@@ -495,7 +418,7 @@ def _counital_matrices(alg, coa):
                 tp[k][m] += c * e[m][j]
                 sp[j][m] += c * e[k][m]
     scale = su * sd * sm * se
-    return {kind: Matrix.from_ints(alg.field, g, scale, n) for kind, g in grids.items()}
+    return {kind: _int_matrix(alg.field, g, scale) for kind, g in grids.items()}
 
 
 def build_weak_bialgebra(alg: FiniteAlgebra, coa: FiniteCoalgebra) -> WeakBialgebra:
@@ -742,8 +665,8 @@ def lemma_suite(h: WeakBialgebra) -> Verdict:
             fix[r][r] -= s
         both = ints_rank(p, fix + grid)
         if not ints_rank(p, fix) == both == ints_rank(p, grid):
-            cond = Matrix.from_ints(field, grid, sd * sl, n)
-            fix_space = kernel_space(Matrix.from_ints(field, fix, s, n))
+            cond = _int_matrix(field, grid, sd * sl)
+            fix_space = kernel_space(_int_matrix(field, fix, s))
             return fail(law, (), fix_space, kernel_space(cond))
 
     # 2.1 "especially": both displayed identities on Delta2(1)

@@ -233,3 +233,30 @@ def test_console_entry_point_smoke():
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["dim"] == 1
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("field", 7),
+        ("field", 1.5),
+        ("field", ["Q"]),
+        ("field", {"name": "Q"}),
+        ("field", None),
+        ("comodules", 5),
+        ("comodules", "regular"),
+        ("comodules", {"name": "m"}),
+    ],
+    ids=["field-int", "field-float", "field-list", "field-dict", "field-null",
+         "comodules-int", "comodules-str", "comodules-dict"],
+)
+def test_mistyped_document_keys_exit_two(capsys, tmp_path, key, value):
+    doc = json.loads(golden("k.wba.json"))
+    doc[key] = value
+    path = tmp_path / "k.wba.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["check", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "error [malformed]" in out
+    assert "Traceback" not in out + err

@@ -233,7 +233,7 @@ def test_failures_match_reference():
 
 
 def test_int_helpers_match_field_arithmetic():
-    """ints_rank, Matrix.from_ints / col_ints and Subspace.contains_ints."""
+    """ints_rank, Matrix.from_int_cols / col_ints and Subspace.contains_ints."""
     rng = Random(11)
     for field in FIELDS:
         of = field.of
@@ -246,7 +246,10 @@ def test_int_helpers_match_field_arithmetic():
             m = Matrix(field, grid, cols=cols)
             ints, scale = lift_to_ints(field, m.entries)
             assert ints_rank(field.characteristic, ints) == rank(m)
-            assert Matrix.from_ints(field, ints, scale, cols) == m
+            k = 1 if field.characteristic else 7
+            built = Matrix.from_int_cols(field, [{r: k * x for r, x in enumerate(c)} for c in zip(*ints)],
+                                         k * scale, rows)
+            assert built == m and built.col_ints() == m.col_ints()
             lifted, s = m.col_ints()
             back = [[(r, Fraction(v, s) if field == QQ else of(v)) for r, v in c] for c in lifted]
             assert back == [list(c) for c in m.col_nz()]

@@ -284,3 +284,27 @@ def test_map_verdict_counital_containment(gpd2, c2):
     phi = Matrix(QQ, [[0, 0, 0, 0]] * 4)
     verdict = map_verdict(phi, gpd2, gpd2)
     assert not verdict.ok
+
+
+def test_functor_document_builds_each_leaf_once(gpd2, monkeypatch):
+    import weakhopf.serialize as serialize
+
+    built = []
+    for name in ("regular_comodule", "unit_comodule"):
+        real = getattr(serialize, name)
+        monkeypatch.setattr(serialize, name, lambda h, real=real, name=name: built.append(name) or real(h))
+    ident = WeakBialgebraMap(gpd2, gpd2, Matrix.identity(QQ, gpd2.dim))
+    names = ["regular", "unit", "regular*unit", "unit*regular", "unit*unit"]
+    fd = functor_from_map(ident, [serialize.resolve_comodule(gpd2, {}, e) for e in names])
+    doc = serialize.document_from_functor(fd, names)
+    built.clear()
+    parsed = serialize.functor_from_document(doc, gpd2, {}, gpd2)
+    assert sorted(built) == ["regular_comodule", "unit_comodule"]
+    regular, unit = parsed.assignments[0][0], parsed.assignments[1][0]
+    assert parsed.assignments[2][0].factors == (regular, unit)
+    assert parsed.assignments[3][0].factors == (unit, regular)
+    assert [m.coaction for m, _ in parsed.assignments] == [m.coaction for m, _ in fd.assignments]
+    assert reconstruct_weak_bialgebra_map(parsed).ok
+    # a second document builds its own leaves: nothing is kept between documents
+    serialize.functor_from_document(doc, gpd2, {}, gpd2)
+    assert len(built) == 4
