@@ -32,7 +32,7 @@ from .exactla import (
     quotient_basis,
     vec_zero,
 )
-from .structure import dict_violations, field_items, sides_differ, unit_violations
+from .structure import _dict_violations, _field_items, _sides_differ, _unit_violations
 from .weakbia import WeakBialgebra, _comul
 
 
@@ -74,14 +74,14 @@ def _coaction_nz_verdict(h: WeakBialgebra, dim: int, nz, s: int) -> Verdict:
             for j2, k2, d in dnz[j]:
                 key = (a, j2, k2)
                 rhs[key] = rhs.get(key, 0) + c * d
-        violations += dict_violations(field, "comodule coassociativity", (i,), lhs, s * s, rhs, s * sd)
+        violations += _dict_violations(field, "comodule coassociativity", (i,), lhs, s * s, rhs, s * sd)
     # counit: (id (x) eps) rho = id
     for i in range(dim):
         acc = {}
         for a, j, c in nz[i]:
             if eps[j]:
                 acc[a] = acc.get(a, 0) + c * eps[j]
-        violations += unit_violations(field, "comodule counit", i, acc, s * se, dim)
+        violations += _unit_violations(field, "comodule counit", i, acc, s * se, dim)
     if violations:
         return Verdict(tuple(violations))
     # 2.5(3)(iii) via the double expansion (coassociativity already holds)
@@ -94,7 +94,7 @@ def _coaction_nz_verdict(h: WeakBialgebra, dim: int, nz, s: int) -> Verdict:
                 for a2, j1, c2 in nz[a]:
                     if pj[j1]:
                         acc[a2] = acc.get(a2, 0) + c * c2 * pj[j1]
-            violations += unit_violations(field, law, i, acc, s * s * sp, dim)
+            violations += _unit_violations(field, law, i, acc, s * s * sp, dim)
     return Verdict(tuple(violations))
 
 
@@ -243,7 +243,7 @@ def comodule_map_verdict(source: Comodule, target: Comodule, matrix: Matrix) -> 
             for b, fc in fcols[a]:
                 key = (b, j)
                 rhs[key] = rhs.get(key, 0) + c * fc
-        violations += dict_violations(field, "comodule map law", (i,), lhs, sf * st, rhs, ss * sf)
+        violations += _dict_violations(field, "comodule map law", (i,), lhs, sf * st, rhs, ss * sf)
     if violations:
         return Verdict(tuple(violations))
     sl, sr, sa = source.act_ints()
@@ -267,7 +267,7 @@ def _intertwines(p: int, fcols, sf: int, acols, sa: int, bcols, sb: int) -> bool
         for k, v in fcol:
             for r, x in bcols[k].items():
                 rhs[r] = rhs.get(r, 0) + v * x
-        if sides_differ(p, lhs, sa * sf, rhs, sf * sb):
+        if _sides_differ(p, lhs, sa * sf, rhs, sf * sb):
             return False
     return True
 
@@ -630,7 +630,7 @@ def check_lemma25(c: Comodule) -> Verdict:
                 for a, j, cc in nz[b]:
                     for j2, v in prods[j]:
                         rhs[(a, j2)] = rhs.get((a, j2), 0) + cc * v
-                if sides_differ(h.field.characteristic, lhs, sa * s, rhs, s * sm):
-                    sides = field_items(h.field, lhs, sa * s), field_items(h.field, rhs, s * sm)
+                if _sides_differ(h.field.characteristic, lhs, sa * s, rhs, s * sm):
+                    sides = _field_items(h.field, lhs, sa * s), _field_items(h.field, rhs, s * sm)
                     return Verdict((Violation(law, (r, b), *sides),))
     return Verdict.passing()

@@ -206,7 +206,7 @@ def law_violations(field: FieldSpec, law: str, witness: tuple, u, su: int, v, sv
     return [Violation(law, witness, ints_to_field(field, u, su), ints_to_field(field, v, sv))]
 
 
-def sides_differ(p: int, lhs: dict, sl: int, rhs: dict, sr: int) -> bool:
+def _sides_differ(p: int, lhs: dict, sl: int, rhs: dict, sr: int) -> bool:
     """Whether the sparse int vectors {key: int} lhs / sl and rhs / sr differ
     over GF(p), or over Q when p == 0."""
     if sl != sr:
@@ -216,24 +216,26 @@ def sides_differ(p: int, lhs: dict, sl: int, rhs: dict, sr: int) -> bool:
     return {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}
 
 
-def dict_violations(field: FieldSpec, law: str, witness, lhs: dict, sl: int, rhs: dict, sr: int) -> list:
+def _dict_violations(
+    field: FieldSpec, law: str, witness: tuple, lhs: dict, sl: int, rhs: dict, sr: int
+) -> list:
     """`law_violations` for sparse int vectors; each side of the Violation is
     its sorted nonzero (key, field value) pairs."""
-    if not sides_differ(field.characteristic, lhs, sl, rhs, sr):
+    if not _sides_differ(field.characteristic, lhs, sl, rhs, sr):
         return []
-    sides = [[(k, x) for k, x in field_items(field, acc, s) if x] for acc, s in ((lhs, sl), (rhs, sr))]
+    sides = [[(k, x) for k, x in _field_items(field, acc, s) if x] for acc, s in ((lhs, sl), (rhs, sr))]
     return [Violation(law, witness, *sides)]
 
 
-def field_items(field: FieldSpec, acc: dict, scale: int) -> list:
+def _field_items(field: FieldSpec, acc: dict, scale: int) -> list:
     """The sorted (key, field value) pairs of the sparse int vector acc / scale."""
     keys = sorted(acc)
     return list(zip(keys, ints_to_field(field, tuple([acc[k] for k in keys]), scale)))
 
 
-def unit_violations(field: FieldSpec, law: str, i: int, acc: dict, scale: int, dim: int) -> list:
+def _unit_violations(field: FieldSpec, law: str, i: int, acc: dict, scale: int, dim: int) -> list:
     """[] if the sparse int vector acc / scale is the i-th standard basis vector
-    of k^dim, else its Violation with both sides dense."""
+    of k^dim, else its Violation with both sides dense; acc is used up."""
     p = field.characteristic
     acc[i] = acc.get(i, 0) - scale
     if not any([x % p for x in acc.values()] if p else acc.values()):
