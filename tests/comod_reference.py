@@ -380,7 +380,7 @@ def coalgebra_layer_phi(rho_reg, h, k):
 
 def remark32_violations(phi, rho_reg, h, k):
     """Remark 3.2: Delta_K . phi = (phi (x) id) rho^F, column by column."""
-    n, nk, field = h.dim, k.dim, h.field
+    nk, field = k.dim, h.field
     phi_cols = phi.col_nz()
     out = []
     for i, col in enumerate(rho_reg.col_nz()):

@@ -132,7 +132,7 @@ def _laws(verdict):
 def test_coaction_verdicts_and_action_tensors(field):
     rng = random.Random(f"coaction:{field}")
     reached = set()
-    for name, h, _ in CORPUS[field]:
+    for _, h, _ in CORPUS[field]:
         n = h.dim
         want = [comultiply(h.coa, vec_unit(field, n, i)) for i in range(n)]
         _same(regular_comodule(h).coaction, Matrix.from_cols(field, want, rows=n * n))
@@ -163,7 +163,7 @@ def test_coaction_verdicts_and_action_tensors(field):
 
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
 def test_tensor_products_match_reference(field):
-    for name, h, _ in CORPUS[field]:
+    for _, h, _ in CORPUS[field]:
         reg, un = regular_comodule(h), unit_comodule(h)
         pairs = [(un, reg), (reg, un), (un, un)]
         if h.dim <= 6:
@@ -186,7 +186,7 @@ def test_tensor_products_match_reference(field):
 def test_comodule_map_verdicts_match_reference(field):
     rng = random.Random(f"maps:{field}")
     reached = set()
-    for name, h, _ in CORPUS[field]:
+    for _, h, _ in CORPUS[field]:
         if h.dim > 6:
             continue
         reg, un = regular_comodule(h), unit_comodule(h)
@@ -217,7 +217,7 @@ def _maps(field):
     permutations (conjugated into the scrambled bases, where their entries
     are fractions over Q) and k + k -> gpd2, also from a rescaled k + k."""
     out = []
-    for name, h, base in CORPUS[field]:
+    for _, h, base in CORPUS[field]:
         out.append((Matrix.identity(field, h.dim), h, h))
         natural, cols = (h, None) if base is None else base
         if h.dim <= 6:
