@@ -32,8 +32,8 @@ from .exactla import (
     quotient_basis,
     vec_zero,
 )
-from .structure import _dict_violations, _field_items, _sides_differ, _unit_violations
-from .weakbia import WeakBialgebra, _comul
+from .structure import _comul, _dict_violations, _field_items, _sides_differ, _unit_violations
+from .weakbia import WeakBialgebra
 
 
 def coaction_verdict(h: WeakBialgebra, dim: int, coaction: Matrix) -> Verdict:

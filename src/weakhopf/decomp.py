@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add, mul, sub
 
 from .errors import (
     AxiomViolation,
@@ -28,18 +30,26 @@ from .exactla import (
     Mod,
     Subspace,
     column_space,
+    ints_differ,
+    ints_to_field,
     intersect,
     inverse,
+    lift_to_ints,
     solve,
-    vec_add,
-    vec_is_zero,
-    vec_scale,
-    vec_sub,
     vec_unit,
     vec_zero,
 )
-from .structure import FiniteAlgebra, FiniteCoalgebra, center
-from .weakbia import WeakBialgebra, build_weak_bialgebra, verify_antipode
+from .structure import (
+    FiniteAlgebra,
+    FiniteCoalgebra,
+    _apply,
+    _canonical_vector,
+    _comul,
+    _mul,
+    _sides_differ,
+    center,
+)
+from .weakbia import WeakBialgebra, _dense, build_weak_bialgebra, verify_antipode
 from .comod import Comodule
 
 CERT_INDECOMPOSABLE = "indecomposable"
@@ -94,17 +104,6 @@ class LeftModule:
 
     def __setattr__(self, name, val):
         raise AttributeError("LeftModule is immutable")
-
-    def act(self, x, v) -> tuple:
-        out = list(vec_zero(self.over.field, self.dim))
-        for i, c in enumerate(x):
-            if not c:
-                continue
-            w = self.actions[i].apply(v)
-            for a, y in enumerate(w):
-                if y:
-                    out[a] = out[a] + c * y
-        return tuple(out)
 
 
 def regular_module(h: WeakBialgebra) -> LeftModule:
@@ -198,20 +197,31 @@ def direct_sum(*summands: WeakBialgebra) -> WeakBialgebra:
     )
 
 
-def _tensor_component(h: WeakBialgebra, u, left_mat: Matrix, right_mat: Matrix):
-    n = h.dim
-    z = h.field.zero
-    left_cols, right_cols = left_mat.col_nz(), right_mat.col_nz()
+def _tensor_image(u, left, right) -> dict:
+    """(L (x) R) u as {(a, b): int}, for the row-major int tensor u and the
+    lifted columns (`Matrix.col_ints`) of the square matrices L and R."""
+    n = len(left)
     out = {}
     for idx, c in enumerate(u):
-        if not c:
-            continue
-        a, b = divmod(idx, n)
-        for a2, x in left_cols[a]:
-            for b2, y in right_cols[b]:
-                key = a2 * n + b2
-                out[key] = out.get(key, z) + c * x * y
-    return {k: v for k, v in out.items() if v}
+        if c:
+            a, b = divmod(idx, n)
+            for a2, x in left[a]:
+                for b2, y in right[b]:
+                    out[a2, b2] = out.get((a2, b2), 0) + c * x * y
+    return out
+
+
+def _leaks(p: int, u, left, right) -> bool:
+    """Whether (L (x) R) u is nonzero over GF(p), or over Q when p == 0."""
+    return _sides_differ(p, _tensor_image(u, left, right), 1, {}, 1)
+
+
+def _coords(space: Subspace, x, what: str) -> list:
+    """The coordinates of the int vector x in the echelon basis of space, at
+    x's scale (x at the pivots); InternalInconsistency(what) if x is outside."""
+    if not space.contains_ints(x):
+        raise InternalInconsistency(what)
+    return [x[c] for c in space.pivots]
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +291,7 @@ def _minimal_polynomial(h: WeakBialgebra, w, unit_vec, space: Subspace):
 
 def _rational_root_candidates(p):
     """Candidate rational roots of a rational-coefficient polynomial."""
-    denom_lcm = 1
-    for c in p:
-        denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
+    denom_lcm = lcm(*[c.denominator for c in p])
     ints = [int(c * denom_lcm) for c in p]
     out = []
     if ints and ints[0] == 0:
@@ -298,12 +306,6 @@ def _rational_root_candidates(p):
             out.append(Fraction(a, b))
             out.append(Fraction(-a, b))
     return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):
@@ -440,7 +442,7 @@ def _eval_poly_in_algebra(h: WeakBialgebra, p, w, unit_vec):
     for c in reversed(p):
         acc = h.multiply(acc, w)
         if c:
-            acc = vec_add(acc, vec_scale(c, unit_vec))
+            acc = tuple([a + c * u for a, u in zip(acc, unit_vec)])
     return acc
 
 
@@ -471,7 +473,7 @@ def _split_pieces(h: WeakBialgebra, k_space: Subspace):
             candidates = list(basis)
             for i in range(len(basis)):
                 for j in range(i + 1, len(basis)):
-                    candidates.append(vec_add(basis[i], basis[j]))
+                    candidates.append(tuple(map(add, basis[i], basis[j])))
                     candidates.append(tuple(h.multiply(basis[i], basis[j])))
             for w in candidates:
                 minpoly = _minimal_polynomial(h, w, piece.idempotent, space)
@@ -491,7 +493,7 @@ def _split_pieces(h: WeakBialgebra, k_space: Subspace):
                     e = _eval_poly_in_algebra(h, u, w, piece.idempotent)
                     if h.multiply(e, e) != e:
                         raise InternalInconsistency("CRT idempotent failed idempotency")
-                    if vec_is_zero(e):
+                    if not any(e):
                         raise InternalInconsistency("CRT produced a zero idempotent")
                     new_pieces.append(_Piece(tuple(e)))
                 pieces = pieces[:idx] + new_pieces + pieces[idx + 1 :]
@@ -515,19 +517,17 @@ def _split_pieces(h: WeakBialgebra, k_space: Subspace):
 
 
 def _restrict_block(h: WeakBialgebra, e):
-    """The weak bialgebra on eH with its embedding and projection."""
+    """The weak bialgebra on eH with its embedding and projection (on lifted ints)."""
     field = h.field
+    n = h.dim
     ml = h.mult_matrix(e)
     space = column_space(ml)
     d = space.dim
     emb = space.basis_matrix()
-    coord_cols = []
-    for j in range(h.dim):
-        coords = space.coords_of(ml.col(j))
-        if coords is None:
-            raise InternalInconsistency("left multiplication left the block")
-        coord_cols.append(coords)
-    proj = Matrix.from_cols(field, coord_cols, rows=d)
+    cols, sl = ml.col_ints()
+    left = "left multiplication left the block"
+    coords = [dict(enumerate(_coords(space, _dense(col, n), left))) for col in cols]
+    proj = Matrix.from_int_cols(field, coords, sl, d)
     labels = []
     for r, v in enumerate(space.basis):
         std = [i for i, c in enumerate(v) if c]
@@ -535,47 +535,24 @@ def _restrict_block(h: WeakBialgebra, e):
             labels.append(h.labels[std[0]])
         else:
             labels.append(f"v{r}")
-    mult = [[[field.zero] * d for _ in range(d)] for _ in range(d)]
-    for a in range(d):
-        for b in range(d):
-            prod = h.multiply(space.basis[a], space.basis[b])
-            coords = space.coords_of(prod)
-            if coords is None:
-                raise InternalInconsistency("block is not closed under multiplication")
-            for c, x in enumerate(coords):
-                mult[a][b][c] = x
-    n = h.dim
-    comult = [[[field.zero] * d for _ in range(d)] for _ in range(d)]
-    for a in range(d):
-        flat = h.comultiply(space.basis[a])
-        grid = [[flat[j * n + kk] for kk in range(n)] for j in range(n)]
-        first = []
-        for kk in range(n):
-            wk = tuple(grid[j][kk] for j in range(n))
-            if not any(wk):
-                first.append(None)
-                continue
-            coords = space.coords_of(wk)
-            if coords is None:
-                raise InternalInconsistency("comultiplication leaks out of the block")
-            first.append(coords)
-        for b in range(d):
-            row = tuple(
-                first[kk][b] if first[kk] is not None else field.zero for kk in range(n)
-            )
-            if not any(row):
-                continue
-            coords = space.coords_of(row)
-            if coords is None:
-                raise InternalInconsistency("comultiplication leaks out of the block")
-            for c, x in enumerate(coords):
-                comult[a][b][c] = x
+    vs, sv = space.ints()
+    mnz, sm, _, _ = h.alg.ints()
+    dnz, sd, eps, se = h.coa.ints()
+    closed = "block is not closed under multiplication"
+    mult = [[_coords(space, _mul(mnz, x, y), closed) for y in vs] for x in vs]
+    leak = "comultiplication leaks out of the block"
+    comult = []
+    for x in vs:
+        # the coordinates of each column of Delta(x), then of each row of those
+        flat = _comul(dnz, x)
+        first = [_coords(space, flat[k::n], leak) for k in range(n)]
+        comult.append([_coords(space, row, leak) for row in zip(*first)])
     unit_coords = space.coords_of(e)
     if unit_coords is None:
         raise InternalInconsistency("block idempotent escaped its own block")
-    counit = [h.counit_of(v) for v in space.basis]
-    alg = FiniteAlgebra(field, labels, mult, unit_coords)
-    coa = FiniteCoalgebra(field, labels, comult, counit)
+    counit = ints_to_field(field, [sum(map(mul, eps, x)) for x in vs], sv * se)
+    alg = FiniteAlgebra(field, labels, ints_to_field(field, mult, sv * sv * sm), unit_coords)
+    coa = FiniteCoalgebra(field, labels, ints_to_field(field, comult, sv * sd), counit)
     try:
         block = build_weak_bialgebra(alg, coa)
     except AxiomViolation as exc:
@@ -598,27 +575,21 @@ def _restrict_block(h: WeakBialgebra, e):
 
 
 def _delta_block_condition(h: WeakBialgebra, e) -> bool:
-    """Delta(e) in eH (x) eH, tested with complement projections."""
-    comp = vec_sub(tuple(h.unit), e)
-    ml_comp = h.mult_matrix(comp)
-    ident = Matrix.identity(h.field, h.dim)
-    u = h.comultiply(e)
-    if _tensor_component(h, u, ml_comp, ident):
-        return False
-    if _tensor_component(h, u, ident, ml_comp):
-        return False
-    return True
+    """Delta(e) in eH (x) eH, tested with complement projections (on lifted ints)."""
+    comp = h.mult_matrix(tuple(map(sub, h.unit, e))).col_ints()[0]
+    ident = tuple([((j, 1),) for j in range(h.dim)])
+    u = _comul(h.coa.ints()[0], lift_to_ints(h.field, e)[0])
+    p = h.field.characteristic
+    return not (_leaks(p, u, comp, ident) or _leaks(p, u, ident, comp))
 
 
 def split_by_idempotent(h: WeakBialgebra, e) -> tuple[WeakBialgebra, WeakBialgebra]:
     """Split along a central idempotent with the block comultiplication property."""
     field = h.field
-    e = tuple(field.of(x) if isinstance(x, int) else x for x in e)
-    if len(e) != h.dim:
-        raise MalformedInput("idempotent vector length mismatch")
+    e = _canonical_vector(field, e, h.dim, "idempotent")
     if h.multiply(e, e) != e:
         raise PreconditionError("element is not idempotent")
-    if vec_is_zero(e) or e == tuple(h.unit):
+    if not any(e) or e == h.unit:
         raise PreconditionError("trivial split rejected: idempotent is 0 or 1")
     for i in range(h.dim):
         b = vec_unit(field, h.dim, i)
@@ -626,7 +597,7 @@ def split_by_idempotent(h: WeakBialgebra, e) -> tuple[WeakBialgebra, WeakBialgeb
             raise PreconditionError(
                 f"element is not central: fails to commute with basis element {i}"
             )
-    comp = vec_sub(tuple(h.unit), e)
+    comp = tuple(map(sub, h.unit, e))
     if not _delta_block_condition(h, e):
         raise PreconditionError("comultiplication leaks: Delta(e) not in eH (x) eH")
     if not _delta_block_condition(h, comp):
@@ -644,45 +615,32 @@ def split_by_idempotent(h: WeakBialgebra, e) -> tuple[WeakBialgebra, WeakBialgeb
 
 
 def _verify_reassembly(h: WeakBialgebra, rebuilt: WeakBialgebra, change: Matrix):
-    """The block-diagonal rebuild must match h's tensors in block coordinates."""
-    field = h.field
+    """The block-diagonal rebuild must match h's tensors in block coordinates (on lifted ints)."""
     inv = inverse(change)
     if inv is None:
         raise InternalInconsistency("block bases do not span")
     n = h.dim
-    z = field.zero
-    inv_cols = inv.col_nz()
+    p = h.field.characteristic
+    mnz, sm, _, _ = h.alg.ints()
+    dnz, sd, eps, se = h.coa.ints()
+    rmnz, srm, _, _ = rebuilt.alg.ints()
+    rdnz, srd, reps, sre = rebuilt.coa.ints()
+    cols, sc = change.col_ints()
+    inv_cols, si = inv.col_ints()
+    dense = [_dense(col, n) for col in cols]
     for i in range(n):
         for j in range(n):
-            prod = h.multiply(change.col(i), change.col(j))
-            got = inv.apply(prod)
-            if got != rebuilt.mult[i][j]:
+            got = _apply(inv_cols, enumerate(_mul(mnz, dense[i], dense[j])), n)
+            if ints_differ(p, got, sc * sc * sm * si, _dense(rmnz[i][j], n), srm):
                 raise InternalInconsistency("reassembled multiplication differs")
     for i in range(n):
-        flat = h.comultiply(change.col(i))
-        pulled = {}
-        for idx, c in enumerate(flat):
-            if not c:
-                continue
-            a, b = divmod(idx, n)
-            for a2, x in inv_cols[a]:
-                for b2, y in inv_cols[b]:
-                    key = (a2, b2)
-                    pulled[key] = pulled.get(key, z) + c * x * y
-        pulled = {k: v for k, v in pulled.items() if v}
-        expected = {}
-        for a in range(n):
-            for b in range(n):
-                c = rebuilt.comult[i][a][b]
-                if c:
-                    expected[(a, b)] = c
-        if pulled != expected:
+        pulled = _tensor_image(_comul(dnz, dense[i]), inv_cols, inv_cols)
+        if _sides_differ(p, pulled, sc * sd * si * si, {(a, b): d for a, b, d in rdnz[i]}, srd):
             raise InternalInconsistency("reassembled comultiplication differs")
-    if inv.apply(h.unit) != tuple(rebuilt.unit):
+    if inv.apply(h.unit) != rebuilt.unit:
         raise InternalInconsistency("reassembled unit differs")
-    for i in range(n):
-        if h.counit_of(change.col(i)) != rebuilt.counit[i]:
-            raise InternalInconsistency("reassembled counit differs")
+    if ints_differ(p, [sum([eps[r] * x for r, x in col]) for col in cols], sc * se, reps, sre):
+        raise InternalInconsistency("reassembled counit differs")
 
 
 @dataclass(frozen=True)
@@ -728,12 +686,14 @@ def decompose(h: WeakBialgebra) -> DecompositionReport:
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
 
-    mls = [h.mult_matrix(p) for p in prims]
+    p = field.characteristic
+    dnz = h.coa.ints()[0]
+    mls = [h.mult_matrix(e).col_ints()[0] for e in prims]
     for k in range(r):
-        u = h.comultiply(prims[k])
+        u = _comul(dnz, lift_to_ints(field, prims[k])[0])
         for i in range(r):
             for j in range(r):
-                if _tensor_component(h, u, mls[i], mls[j]):
+                if _leaks(p, u, mls[i], mls[j]):
                     union(k, i)
                     union(k, j)
     classes: dict[int, list[int]] = {}
@@ -747,10 +707,7 @@ def decompose(h: WeakBialgebra) -> DecompositionReport:
     projs = []
     certs = []
     for members in ordered:
-        e = vec_zero(field, h.dim)
-        for k in members:
-            e = vec_add(e, prims[k])
-        e = tuple(e)
+        e = tuple([sum(xs, field.zero) for xs in zip(*[prims[k] for k in members])])
         if h.multiply(e, e) != e:
             raise InternalInconsistency("block idempotent failed idempotency")
         if not _delta_block_condition(h, e):
@@ -763,14 +720,11 @@ def decompose(h: WeakBialgebra) -> DecompositionReport:
         certified = all(pieces[k].certified for k in members)
         certs.append(CERT_INDECOMPOSABLE if certified else CERT_UNDECIDED)
     # orthogonality and completeness of the block system
-    total = vec_zero(field, h.dim)
-    for e in idems:
-        total = vec_add(total, e)
-    if tuple(total) != tuple(h.unit):
+    if tuple([sum(xs, field.zero) for xs in zip(*idems)]) != h.unit:
         raise InternalInconsistency("block idempotents do not sum to 1")
     for i in range(len(idems)):
         for j in range(len(idems)):
-            if i != j and not vec_is_zero(h.multiply(idems[i], idems[j])):
+            if i != j and any(h.multiply(idems[i], idems[j])):
                 raise InternalInconsistency("block idempotents are not orthogonal")
     if len(blocks) == 1:
         big = embeds[0]
@@ -871,52 +825,46 @@ def _verify_module_reassembly(h, mod, data, pieces, spaces):
 
 
 def split_comodule(h: WeakBialgebra, com: Comodule, blocks: BlockData | None = None):
-    """Prop-4.2 comodule splitting: counit-weighted idempotents, projected coactions."""
+    """Prop-4.2 comodule splitting: counit-weighted idempotents, projected coactions
+    (on the lifted coaction)."""
     data = _require_two_blocks(h, blocks)
     if com.over is not h:
         raise MalformedInput("comodule is not over the given weak bialgebra")
     field = h.field
-    z = field.zero
-    n = h.dim
     pieces = []
     spaces = []
-    com_nz = [com.coact_nonzeros(i) for i in range(com.dim)]
-    for s, emb, proj in zip(data.summands, data.embeddings, data.projections):
-        e = emb.apply(s.unit)
-        ml = h.mult_matrix(e)
-        gamma = [h.counit_of(ml.col(j)) for j in range(n)]
+    cnz, s = com.ints()
+    _, _, eps, se = h.coa.ints()
+    for blk, emb, proj in zip(data.summands, data.embeddings, data.projections):
+        ml, sl = h.mult_matrix(emb.apply(blk.unit)).col_ints()
+        gamma = [sum([eps[r] * x for r, x in col]) for col in ml]
+        # column b of q is (id (x) eps(e -)) rho(m_b)
         q = [{} for _ in range(com.dim)]
-        for b in range(com.dim):
-            for (a, j), c in com_nz[b]:
+        for col, terms in zip(q, cnz):
+            for a, j, c in terms:
                 if gamma[j]:
-                    q[a][b] = q[a].get(b, z) + c * gamma[j]
-        space = column_space(Matrix._from_dicts(field, q, com.dim))
+                    col[a] = col.get(a, 0) + c * gamma[j]
+        space = column_space(Matrix.from_int_cols(field, q, s * sl * se, com.dim))
         spaces.append(space)
-        nk = s.dim
-        proj_cols = proj.col_nz()
-        rows = [{} for _ in range(space.dim * nk)]
-        for b, v in enumerate(space.nz):
-            acc = {}
-            for i, x in v:
-                for (a, j), c in com_nz[i]:
-                    for r2, p in proj_cols[j]:
-                        key = (a, r2)
-                        acc[key] = acc.get(key, z) + x * c * p
-            grid = [[field.zero] * nk for _ in range(com.dim)]
-            for (a, r2), c in acc.items():
-                grid[a][r2] = c
-            for r2 in range(nk):
-                wk = tuple(grid[a][r2] for a in range(com.dim))
-                if not any(wk):
-                    continue
-                coords = space.coords_of(wk)
-                if coords is None:
-                    raise InternalInconsistency("split coaction left its piece")
-                for a2, x in enumerate(coords):
-                    if x:
-                        row = rows[a2 * nk + r2]
-                        row[b] = row.get(b, z) + x
-        pieces.append(Comodule(s, space.dim, Matrix._from_dicts(field, rows, space.dim)))
+        nk = blk.dim
+        pc, sp = proj.col_ints()
+        vs, sv = space.ints()
+        cols = []
+        for v in vs:
+            # acc[r][a]: (id (x) proj) rho(v), then each of its columns in the piece's basis
+            acc = [[0] * com.dim for _ in range(nk)]
+            for i, x in enumerate(v):
+                if x:
+                    for a, j, c in cnz[i]:
+                        for r, y in pc[j]:
+                            acc[r][a] += x * c * y
+            col = {}
+            for r, w in enumerate(acc):
+                for a, y in enumerate(_coords(space, w, "split coaction left its piece")):
+                    col[a * nk + r] = y
+            cols.append(col)
+        coaction = Matrix.from_int_cols(field, cols, sv * s * sp, space.dim * nk)
+        pieces.append(Comodule(blk, space.dim, coaction))
     if sum(p.dim for p in pieces) != com.dim:
         raise InternalInconsistency("piece dimensions do not add up")
     _verify_comodule_reassembly(h, com, data, pieces, spaces)
@@ -926,26 +874,26 @@ def split_comodule(h: WeakBialgebra, com: Comodule, blocks: BlockData | None = N
 def _verify_comodule_reassembly(h, com, data, pieces, spaces):
     field = h.field
     n = h.dim
-    cols = []
-    for space in spaces:
-        cols.extend(space.basis)
-    change = Matrix.from_cols(field, cols, rows=com.dim)
+    change = Matrix.from_cols(field, [v for space in spaces for v in space.basis], rows=com.dim)
     if inverse(change) is None:
         raise InternalInconsistency("piece bases do not span the comodule")
-    z = field.zero
-    total = sum(p.dim for p in pieces)
-    rows = [{} for _ in range(total * n)]
+    # the coaction of G(pieces), built on each piece's lift and brought to one scale
+    parts = []
     off = 0
     for piece, emb in zip(pieces, data.embeddings):
-        emb_cols = emb.col_nz()
-        for b in range(piece.dim):
-            for (a, r2), c in piece.coact_nonzeros(b):
-                for j, x in emb_cols[r2]:
-                    row = rows[(off + a) * n + j]
-                    row[off + b] = row.get(off + b, z) + c * x
+        nz, s = piece.ints()
+        ec, se = emb.col_ints()
+        cols = [{} for _ in nz]
+        for col, terms in zip(cols, nz):
+            for a, r, c in terms:
+                for j, x in ec[r]:
+                    key = (off + a) * n + j
+                    col[key] = col.get(key, 0) + c * x
+        parts.append((cols, s * se))
         off += piece.dim
-    g_coaction = Matrix._from_dicts(field, rows, total)
-    g_com = Comodule(h, total, g_coaction)
+    scale = lcm(*[s for _, s in parts])
+    cols = [{k: x * (scale // s) for k, x in col.items()} for part, s in parts for col in part]
+    g_com = Comodule(h, off, Matrix.from_int_cols(field, cols, scale, off * n))
     ident_n = Matrix.identity(field, n)
     lhs = com.coaction.mul(change)
     rhs = change.kron(ident_n).mul(g_com.coaction)

@@ -251,22 +251,6 @@ def vec_unit(field: FieldSpec, n: int, i: int) -> tuple:
     return tuple(o if j == i else z for j in range(n))
 
 
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, u):
-    return tuple(c * a for a in u)
-
-
-def vec_is_zero(u) -> bool:
-    return not any(u)
-
-
 # ---------------------------------------------------------------------------
 # integer lifts: exact law checks on plain Python ints
 

@@ -10,7 +10,7 @@ Tensor-square coordinates are row-major: the pair (j, k) sits at j*n + k.
 
 from __future__ import annotations
 
-from itertools import product
+from operator import mul
 
 from .errors import MalformedInput, PreconditionError, Verdict, Violation
 from .exactla import (
@@ -22,7 +22,6 @@ from .exactla import (
     kernel_space,
     lift_to_ints,
     vec_unit,
-    vec_zero,
 )
 
 
@@ -37,10 +36,7 @@ def _canonical_tensor(field: FieldSpec, tensor, n: int, what: str):
         for row in sl:
             if len(row) != n:
                 raise MalformedInput(f"{what} tensor row must have {n} entries")
-            rows.append(tuple(field.of(x) if isinstance(x, int) else x for x in row))
-            for x in rows[-1]:
-                if not field.is_element(x):
-                    raise MalformedInput(f"{what} entry {x!r} not in {field}")
+            rows.append(_canonical_vector(field, row, n, what))
         out.append(tuple(rows))
     return tuple(out)
 
@@ -93,12 +89,8 @@ class FiniteAlgebra:
     def __eq__(self, other):
         if not isinstance(other, FiniteAlgebra):
             return NotImplemented
-        return (
-            self.field == other.field
-            and self.labels == other.labels
-            and self.mult == other.mult
-            and self.unit == other.unit
-        )
+        return (self.field, self.labels, self.mult, self.unit) == (
+            other.field, other.labels, other.mult, other.unit)
 
     def __hash__(self):
         return hash((self.field, self.labels, self.mult, self.unit))
@@ -143,60 +135,76 @@ class FiniteCoalgebra:
     def __eq__(self, other):
         if not isinstance(other, FiniteCoalgebra):
             return NotImplemented
-        return (
-            self.field == other.field
-            and self.labels == other.labels
-            and self.comult == other.comult
-            and self.counit == other.counit
-        )
+        return (self.field, self.labels, self.comult, self.counit) == (
+            other.field, other.labels, other.comult, other.counit)
 
     def __hash__(self):
         return hash((self.field, self.labels, self.comult, self.counit))
 
 
+def _mul(mnz, x, y) -> list:
+    """The dense int product x y on lifted mult nonzeros (the scales multiply)."""
+    out = [0] * len(x)
+    ynz = [(j, v) for j, v in enumerate(y) if v]
+    for i, u in enumerate(x):
+        if u:
+            row = mnz[i]
+            for j, v in ynz:
+                uv = u * v
+                for k, c in row[j]:
+                    out[k] += uv * c
+    return out
+
+
+def _comul(dnz, x) -> list:
+    """Delta(x) in row-major tensor-square coordinates, on lifted comult nonzeros."""
+    n = len(x)
+    out = [0] * (n * n)
+    for i, u in enumerate(x):
+        if u:
+            for a, b, d in dnz[i]:
+                out[a * n + b] += u * d
+    return out
+
+
+def _apply(cols, terms, rows: int) -> list:
+    """A matrix, given by its lifted columns (`Matrix.col_ints`) and its row
+    count, applied to the int vector with (index, int) pairs terms."""
+    out = [0] * rows
+    for j, u in terms:
+        if u:
+            for r, v in cols[j]:
+                out[r] += u * v
+    return out
+
+
+def _lift(field: FieldSpec, x, n: int, what: str) -> tuple:
+    """`lift_to_ints` of the vector x, after checking its length against the
+    dimension n and coercing ints into the field (anything else is malformed)."""
+    if len(x) != n:
+        raise MalformedInput(f"vector length does not match {what} dimension")
+    return lift_to_ints(field, tuple(map(field.of, x)))
+
+
 def multiply(a: FiniteAlgebra, x, y) -> tuple:
-    """Bilinear extension of the multiplication tensor."""
-    n = a.dim
-    if len(x) != n or len(y) != n:
-        raise MalformedInput("vector length does not match algebra dimension")
-    out = list(vec_zero(a.field, n))
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        mi = a.mult[i]
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            c = xi * yj
-            for k, m in enumerate(mi[j]):
-                if m:
-                    out[k] = out[k] + c * m
-    return tuple(out)
+    """Bilinear extension of the multiplication tensor (on lifted ints)."""
+    (xs, sx), (ys, sy) = _lift(a.field, x, a.dim, "algebra"), _lift(a.field, y, a.dim, "algebra")
+    mnz, sm, _, _ = a.ints()
+    return ints_to_field(a.field, tuple(_mul(mnz, xs, ys)), sx * sy * sm)
 
 
 def comultiply(c: FiniteCoalgebra, x) -> tuple:
-    """Delta(x) in row-major tensor-square coordinates."""
-    n = c.dim
-    if len(x) != n:
-        raise MalformedInput("vector length does not match coalgebra dimension")
-    out = list(vec_zero(c.field, n * n))
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        for j, row in enumerate(c.comult[i]):
-            base = j * n
-            for k, d in enumerate(row):
-                if d:
-                    out[base + k] = out[base + k] + xi * d
-    return tuple(out)
+    """Delta(x) in row-major tensor-square coordinates (on lifted ints)."""
+    xs, sx = _lift(c.field, x, c.dim, "coalgebra")
+    dnz, sd, _, _ = c.ints()
+    return ints_to_field(c.field, tuple(_comul(dnz, xs)), sx * sd)
 
 
 def counit_of(c: FiniteCoalgebra, x):
-    acc = c.field.zero
-    for e, xi in zip(c.counit, x):
-        if e and xi:
-            acc = acc + e * xi
-    return acc
+    """eps(x) (on lifted ints)."""
+    xs, sx = _lift(c.field, x, c.dim, "coalgebra")
+    _, _, eps, se = c.ints()
+    return ints_to_field(c.field, (sum(map(mul, eps, xs)),), sx * se)[0]
 
 
 def law_violations(field: FieldSpec, law: str, witness: tuple, u, su: int, v, sv: int) -> list:
@@ -288,22 +296,15 @@ def check_coalgebra(c: FiniteCoalgebra) -> Verdict:
     field = c.field
     violations = []
     nz, sd, eps, se = c.ints()
-
-    def terms(flat):
-        """The nonzero ((a, b, k), value) of an n^3 vector at scale sd^2, in order."""
-        values = ints_to_field(field, flat, sd * sd)
-        return [(key, x) for key, x in zip(product(range(n), repeat=3), values) if x]
-
     for i in range(n):
-        lhs = [0] * n ** 3
-        rhs = [0] * n ** 3
+        # (Delta (x) id) Delta(b_i) and (id (x) Delta) Delta(b_i), keyed by basis triple
+        lhs, rhs = {}, {}
         for j, k, d in nz[i]:
             for a, b, e in nz[j]:
-                lhs[(a * n + b) * n + k] += d * e
+                lhs[a, b, k] = lhs.get((a, b, k), 0) + d * e
             for a, b, e in nz[k]:
-                rhs[(j * n + a) * n + b] += d * e
-        if ints_differ(field.characteristic, lhs, 1, rhs, 1):
-            violations.append(Violation("coassociativity", (i,), terms(lhs), terms(rhs)))
+                rhs[j, a, b] = rhs.get((j, a, b), 0) + d * e
+        violations += _dict_violations(field, "coassociativity", (i,), lhs, sd * sd, rhs, sd * sd)
     for i in range(n):
         one = [int(t == i) for t in range(n)]
         left = [0] * n
@@ -367,13 +368,7 @@ def center(a: FiniteAlgebra) -> Subspace:
     if not verdict.ok:
         raise PreconditionError(f"center of an invalid algebra: {verdict.describe()}")
     n = a.dim
-    rows = []
-    for i in range(n):
-        for k in range(n):
-            row = []
-            for l in range(n):
-                row.append(a.mult[l][i][k] - a.mult[i][l][k])
-            rows.append(row)
+    rows = [[a.mult[l][i][k] - a.mult[i][l][k] for l in range(n)] for i in range(n) for k in range(n)]
     if not rows:
         return Subspace(a.field, 0)
     return kernel_space(Matrix(a.field, rows, cols=n))

@@ -34,8 +34,8 @@ from .comod import (
     comodule_map_verdict,
     tensor_over_source,
 )
-from .structure import law_violations
-from .weakbia import WeakBialgebra, _comul, _dense, _mul
+from .structure import _apply, _comul, _mul, law_violations
+from .weakbia import WeakBialgebra, _dense
 
 RECONSTRUCTION_LAYERS = (
     "comodule-validity",
@@ -123,10 +123,10 @@ def _algebra_map_violations(phi, source, target):
     out = []
     for i, row in enumerate(mnz):
         for j, terms in enumerate(row):
-            lhs = _image(cols, terms, nk)
+            lhs = _apply(cols, terms, nk)
             rhs = _mul(knz, img[i], img[j])
             out += law_violations(field, "not multiplicative", (i, j), lhs, sm * sp, rhs, sk * sp * sp)
-    lhs = _image(cols, enumerate(unit), nk)
+    lhs = _apply(cols, enumerate(unit), nk)
     return out + law_violations(field, "unit mismatch", (), lhs, su * sp, kunit, sku)
 
 
@@ -149,15 +149,6 @@ def _coalgebra_map_violations(phi, source, target):
         if ints_differ(field.characteristic, (eps_lhs,), ske * sp, (eps[i],), se):
             (eps_lhs,) = ints_to_field(field, (eps_lhs,), ske * sp)
             out.append(Violation("counit mismatch", (i,), eps_lhs, source.counit[i]))
-    return out
-
-
-def _image(cols, terms, rows: int) -> list:
-    """phi applied to the vector with (index, int) pairs terms, on phi's lifted columns."""
-    out = [0] * rows
-    for j, u in terms:
-        for r, v in cols[j]:
-            out[r] += u * v
     return out
 
 

@@ -38,11 +38,13 @@ from .exactla import (
     kernel_space,
     lift_to_ints,
     solve,
-    vec_unit,
 )
 from .structure import (
     FiniteAlgebra,
     FiniteCoalgebra,
+    _apply,
+    _comul,
+    _mul,
     check_algebra,
     check_coalgebra,
     comultiply,
@@ -228,41 +230,6 @@ def _int_matrix(field, rows, scale: int) -> Matrix:
     return Matrix.from_int_cols(field, [dict(enumerate(c)) for c in zip(*rows)], scale, len(rows))
 
 
-def _mul(mnz, x, y) -> list:
-    """The dense int product x y on lifted mult nonzeros (the scales multiply)."""
-    out = [0] * len(x)
-    ynz = [(j, v) for j, v in enumerate(y) if v]
-    for i, u in enumerate(x):
-        if u:
-            row = mnz[i]
-            for j, v in ynz:
-                uv = u * v
-                for k, c in row[j]:
-                    out[k] += uv * c
-    return out
-
-
-def _comul(dnz, x) -> list:
-    """Delta(x) in row-major tensor-square coordinates, on lifted comult nonzeros."""
-    n = len(x)
-    out = [0] * (n * n)
-    for i, u in enumerate(x):
-        if u:
-            for a, b, d in dnz[i]:
-                out[a * n + b] += u * d
-    return out
-
-
-def _apply(cols, x) -> list:
-    """A square matrix, given by its lifted columns (`Matrix.col_ints`), applied to x."""
-    out = [0] * len(x)
-    for j, u in enumerate(x):
-        if u:
-            for r, v in cols[j]:
-                out[r] += u * v
-    return out
-
-
 def _dense(nz, n: int) -> list:
     out = [0] * n
     for r, v in nz:
@@ -279,8 +246,7 @@ def _idempotent(m: Matrix) -> bool:
     """m m == m, column by column on m's lifted columns."""
     cols, s = m.col_ints()
     p = m.field.characteristic
-    dense = [_dense(col, m.rows) for col in cols]
-    return not any(ints_differ(p, _apply(cols, v), s * s, v, s) for v in dense)
+    return not any(ints_differ(p, _apply(cols, col, m.rows), s * s, _dense(col, m.rows), s) for col in cols)
 
 
 def _in_tensor(x, left: Subspace | None, right: Subspace | None) -> bool:
@@ -515,31 +481,25 @@ def solve_antipode(h: WeakBialgebra) -> AntipodeResult:
     """
     n = h.dim
     field = h.field
-    z = field.zero
-    rows = []
-    rhs = []
-    mu = h.mult
-    eps_t, eps_s = h.eps_t.entries, h.eps_s.entries
+    mnz, sm, _, _ = h.alg.ints()
+    dnz, sd, _, _ = h.coa.ints()
+    (tc, st), (sc, ss) = h.eps_t.col_ints(), h.eps_s.col_ints()
+    # unknown S[l][k] in column l * n + k; (i) and (ii) at b_i, coordinate m, in
+    # rows 2 (i n + m) and 2 (i n + m) + 1
+    cols = [{} for _ in range(n * n)]
     for i in range(n):
-        flat = h.comultiply(vec_unit(field, n, i))
-        nz = [(divmod(idx, n), c) for idx, c in enumerate(flat) if c]
-        for m in range(n):
-            row_i = [z] * (n * n)
-            row_ii = [z] * (n * n)
-            for (a, b), c in nz:
-                for l in range(n):
-                    p = mu[a][l][m]
-                    if p:
-                        row_i[l * n + b] = row_i[l * n + b] + c * p
-                    q = mu[l][b][m]
-                    if q:
-                        row_ii[l * n + a] = row_ii[l * n + a] + c * q
-            rows.append(row_i)
-            rhs.append((eps_t[m][i],))
-            rows.append(row_ii)
-            rhs.append((eps_s[m][i],))
-    system = Matrix(field, rows, cols=n * n)
-    target = Matrix(field, rhs, cols=1)
+        for a, b, c in dnz[i]:
+            for l in range(n):
+                for m, q in mnz[a][l]:
+                    col, r = cols[l * n + b], 2 * (i * n + m)
+                    col[r] = col.get(r, 0) + c * q
+                for m, q in mnz[l][b]:
+                    col, r = cols[l * n + a], 2 * (i * n + m) + 1
+                    col[r] = col.get(r, 0) + c * q
+    rhs = {2 * (i * n + m): x * ss for i in range(n) for m, x in tc[i]}
+    rhs.update({2 * (i * n + m) + 1: x * st for i in range(n) for m, x in sc[i]})
+    system = Matrix.from_int_cols(field, cols, sd * sm, 2 * n * n)
+    target = Matrix.from_int_cols(field, [rhs], st * ss, 2 * n * n)
     x = solve(system, target)
     if x is None:
         return AntipodeResult("none")
@@ -694,20 +654,19 @@ def lemma_suite(h: WeakBialgebra) -> Verdict:
         return bad
 
     # Lemma 2.2 on all basis pairs, with xt[i][j] = b_i eps_t(b_j), sx[i][j] = eps_s(b_i) b_j,
-    # bb[i][j] = b_i b_j, txy[i][j] = eps_t(b_i b_j) and sxy[i][j] = eps_s(b_i b_j)
+    # txy[i][j] = eps_t(b_i b_j), sxy[i][j] = eps_s(b_i b_j) and e_xy[i][j] = eps(b_i b_j)
     t_of = [_dense(col, n) for col in tc]
     s_of = [_dense(col, n) for col in sc]
-    bb = [[_dense(mnz[i][j], n) for j in range(n)] for i in range(n)]
     xt = [[_mul(mnz, basis[i], t_of[j]) for j in range(n)] for i in range(n)]
     sx = [[_mul(mnz, s_of[i], basis[j]) for j in range(n)] for i in range(n)]
-    txy = [[_apply(tc, v) for v in row] for row in bb]
-    sxy = [[_apply(sc, v) for v in row] for row in bb]
-    e_xy = [[sum(map(mul, eps, v)) for v in row] for row in bb]
+    txy = [[_apply(tc, t, n) for t in row] for row in mnz]
+    sxy = [[_apply(sc, t, n) for t in row] for row in mnz]
+    e_xy = [[sum([eps[k] * c for k, c in t]) for t in row] for row in mnz]
     for i in range(n):
         for j in range(n):
-            if ints_differ(p, _apply(tc, xt[i][j]), st * st * sm, txy[i][j], st * sm):
+            if ints_differ(p, _apply(tc, enumerate(xt[i][j]), n), st * st * sm, txy[i][j], st * sm):
                 return fail("2.2(1) t", (i, j), None, None)
-            if ints_differ(p, _apply(sc, sx[i][j]), ss * ss * sm, sxy[i][j], ss * sm):
+            if ints_differ(p, _apply(sc, enumerate(sx[i][j]), n), ss * ss * sm, sxy[i][j], ss * sm):
                 return fail("2.2(1) s", (i, j), None, None)
             for law, w, s in (("2.2(2) t", xt[i][j], st), ("2.2(2) s", sx[i][j], ss)):
                 e = sum(map(mul, eps, w))
@@ -758,12 +717,12 @@ def lemma_suite(h: WeakBialgebra) -> Verdict:
     xy = [[_mul(mnz, b, y) for b in basis] for y in ys]
     for zi, z in enumerate(zs):
         for j in range(n):
-            lhs, rhs = _mul(mnz, z, t_of[j]), _apply(tc, zx[zi][j])
+            lhs, rhs = _mul(mnz, z, t_of[j]), _apply(tc, enumerate(zx[zi][j]), n)
             if bad := differ("2.3(1)", (zi, j), lhs, sz * sm * st, rhs, sz * sm * st):
                 return bad
     for i in range(n):
         for yi, y in enumerate(ys):
-            lhs, rhs = _mul(mnz, s_of[i], y), _apply(sc, xy[yi][i])
+            lhs, rhs = _mul(mnz, s_of[i], y), _apply(sc, enumerate(xy[yi][i]), n)
             if bad := differ("2.3(2)", (i, yi), lhs, sy * sm * ss, rhs, sy * sm * ss):
                 return bad
     for zi, z in enumerate(zs):

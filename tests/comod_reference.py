@@ -11,9 +11,9 @@ int elimination with the package.
 """
 
 from dense_matrix import echelon_basis, quotient_basis
+from product_reference import comultiply, counit_of, multiply
 from weakhopf.errors import InternalInconsistency, Verdict, Violation
 from weakhopf.exactla import Matrix, vec_unit, vec_zero
-from weakhopf.structure import comultiply, counit_of, multiply
 
 
 def _combine_rows(field, coeffs, rows) -> tuple:

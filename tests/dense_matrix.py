@@ -7,7 +7,17 @@ are the earlier `rref`, `kernel_basis`, `solve`, `inverse` and
 sparse kernels with these by `repr`, which prints every entry with its type.
 """
 
-from weakhopf.exactla import vec_add, vec_scale, vec_sub
+
+def vec_add(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def vec_sub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def vec_scale(c, u):
+    return tuple(c * a for a in u)
 
 
 class DenseMatrix:

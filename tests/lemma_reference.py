@@ -8,9 +8,10 @@ afresh by `build_weak_bialgebra`, so they do not share the transposed int
 tables of the package's own variants.
 """
 
+from product_reference import comultiply, counit_of, multiply
 from weakhopf.errors import AxiomViolation, Verdict, Violation
 from weakhopf.exactla import Matrix, Subspace, kernel_space, vec_unit, vec_zero
-from weakhopf.structure import FiniteAlgebra, FiniteCoalgebra, comultiply, counit_of, multiply
+from weakhopf.structure import FiniteAlgebra, FiniteCoalgebra
 from weakhopf.weakbia import build_weak_bialgebra, verify_antipode
 
 

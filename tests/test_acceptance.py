@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from product_reference import comultiply, counit_of, multiply
 from weakhopf.cli import main as cli_main
 from weakhopf.comod import (
     associator,
@@ -36,13 +37,7 @@ from weakhopf.decomp import (
 from weakhopf.errors import AxiomViolation
 from weakhopf.exactla import QQ, Matrix, vec_unit
 from weakhopf.fixtures import enumerate_automorphisms, preset
-from weakhopf.structure import (
-    FiniteAlgebra,
-    FiniteCoalgebra,
-    comultiply,
-    counit_of,
-    multiply,
-)
+from weakhopf.structure import FiniteAlgebra, FiniteCoalgebra
 from weakhopf.tannaka import functor_from_map, reconstruct_weak_bialgebra_map
 from weakhopf.weakbia import (
     build_weak_bialgebra,

@@ -18,6 +18,7 @@ import random
 import pytest
 
 import comod_reference as ref
+from product_reference import comultiply
 from test_axiom_kernels import _scaled_cols, _unimodular_cols, rebased
 from weakhopf.comod import (
     Comodule,
@@ -40,7 +41,6 @@ from weakhopf.fixtures import (
     indiscrete_groupoid,
     preset,
 )
-from weakhopf.structure import comultiply
 from weakhopf.tannaka import (
     FunctorData,
     WeakBialgebraMap,

@@ -73,6 +73,31 @@ def test_split_by_idempotent_rejects_trivial(gpd2):
         split_by_idempotent(gpd2, (0, 0, 0, 0))
 
 
+@pytest.mark.parametrize(
+    "entry", [0.5, "1", Mod(1, 3)], ids=["float", "str", "residue-of-another-prime"]
+)
+def test_split_by_idempotent_rejects_non_field_entries(sum_wba, entry):
+    with pytest.raises(MalformedInput, match="idempotent entry"):
+        split_by_idempotent(sum_wba, [entry] * 6)
+    with pytest.raises(MalformedInput, match="idempotent entry"):
+        split_by_idempotent(sum_wba, (1, 0, 0, 0, 0, entry))
+
+
+def test_split_by_idempotent_rejects_wrong_length(sum_wba):
+    for e in ((1, 0), (1, 0, 0, 0, 0, 0, 0), ()):
+        with pytest.raises(MalformedInput, match="length 6"):
+            split_by_idempotent(sum_wba, e)
+
+
+def test_split_by_idempotent_accepts_ints_and_gf_residues(c2):
+    a, b = split_by_idempotent(preset("sum"), (1, 0, 0, 0, 0, 0))
+    assert (a.dim, b.dim) == (2, 4)
+    f5 = GF(5)
+    h = direct_sum(preset("c2", f5), preset("gpd2", f5))
+    a, b = split_by_idempotent(h, (Mod(1, 5), 0, 0, 0, 0, 0))
+    assert (a.dim, b.dim) == (2, 4) and a.field == f5
+
+
 def test_split_by_idempotent_rejects_non_idempotent(gpd2):
     with pytest.raises(PreconditionError, match="idempotent"):
         split_by_idempotent(gpd2, (0, 0, 1, 0))

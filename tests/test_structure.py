@@ -12,6 +12,7 @@ from weakhopf.structure import (
     check_coalgebra,
     comultiply,
     coopposite,
+    counit_of,
     dual,
     multiply,
     opposite,
@@ -203,3 +204,13 @@ def test_tensor_shape_validation():
         FiniteAlgebra(QQ, ["a", "b"], [[[1]]], [1, 0])
     with pytest.raises(MalformedInput):
         multiply(one_dim_field_algebra(), (Fraction(1),), (Fraction(1), Fraction(0)))
+
+
+def test_counit_of_checks_length(sum_wba):
+    # a short vector was once cut to its length by zip and read as eps(b_0)
+    assert counit_of(sum_wba.coa, (1,) * 6) == 6
+    for bad in ((1,), (1,) * 7, ()):
+        with pytest.raises(MalformedInput, match="coalgebra dimension"):
+            counit_of(sum_wba.coa, bad)
+        with pytest.raises(MalformedInput, match="coalgebra dimension"):
+            comultiply(sum_wba.coa, bad)
