@@ -368,7 +368,8 @@ def center(a: FiniteAlgebra) -> Subspace:
     if not verdict.ok:
         raise PreconditionError(f"center of an invalid algebra: {verdict.describe()}")
     n = a.dim
-    rows = [[a.mult[l][i][k] - a.mult[i][l][k] for l in range(n)] for i in range(n) for k in range(n)]
+    rows = [[a.mult[l][i][k] - a.mult[i][l][k] for l in range(n)]
+            for i in range(n) for k in range(n)]
     if not rows:
         return Subspace(a.field, 0)
     return kernel_space(Matrix(a.field, rows, cols=n))

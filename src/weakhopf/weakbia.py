@@ -246,7 +246,8 @@ def _idempotent(m: Matrix) -> bool:
     """m m == m, column by column on m's lifted columns."""
     cols, s = m.col_ints()
     p = m.field.characteristic
-    return not any(ints_differ(p, _apply(cols, col, m.rows), s * s, _dense(col, m.rows), s) for col in cols)
+    n = m.rows
+    return not any(ints_differ(p, _apply(cols, col, n), s * s, _dense(col, n), s) for col in cols)
 
 
 def _in_tensor(x, left: Subspace | None, right: Subspace | None) -> bool:
