@@ -28,7 +28,7 @@ from .serialize import (
     parse_text,
     wba_from_document,
 )
-from .weakbia import lemma_suite, verify_antipode
+from .weakbia import dualize, lemma_suite, verify_antipode
 from . import decomp, fixtures, tannaka
 
 EXIT_PASS = 0
@@ -157,81 +157,68 @@ def _finish_report(report: Report, args) -> int:
     return report.exit_code
 
 
-def cmd_check(args) -> int:
-    report = Report("check", [args.file])
+def _load_reported(report: Report, path: str):
+    """The weak bialgebra of path, its axioms recorded as passing; or None, with
+    the malformed input or the failed check recorded instead."""
     try:
-        h, _ = _load_wba(args.file)
+        h, _ = _load_wba(path)
     except MalformedInput as exc:
         report.add_error("malformed", str(exc))
-        return _finish_report(report, args)
+        return None
     except AxiomViolation as exc:
         report.add_check(_axiom_check_name(exc), exc.verdict)
-        return _finish_report(report, args)
+        return None
     report.add_check("weak-bialgebra-axioms", Verdict.passing())
-    report.add_check("lemma-suite", lemma_suite(h))
-    if h.antipode is not None:
-        report.add_check("antipode", verify_antipode(h, h.antipode))
-    report.derived["dim"] = h.dim
-    report.derived["dim H_t"] = h.ht.dim
-    report.derived["dim H_s"] = h.hs.dim
+    return h
+
+
+def cmd_check(args) -> int:
+    report = Report("check", [args.file])
+    h = _load_reported(report, args.file)
+    if h is not None:
+        report.add_check("lemma-suite", lemma_suite(h))
+        if h.antipode is not None:
+            report.add_check("antipode", verify_antipode(h, h.antipode))
+        report.derived["dim"] = h.dim
+        report.derived["dim H_t"] = h.ht.dim
+        report.derived["dim H_s"] = h.hs.dim
     return _finish_report(report, args)
 
 
 def cmd_counital(args) -> int:
     report = Report("counital", [args.file])
-    try:
-        h, _ = _load_wba(args.file)
-    except MalformedInput as exc:
-        report.add_error("malformed", str(exc))
-        return _finish_report(report, args)
-    except AxiomViolation as exc:
-        report.add_check(_axiom_check_name(exc), exc.verdict)
-        return _finish_report(report, args)
-    report.add_check("weak-bialgebra-axioms", Verdict.passing())
-    fmt = h.field.fmt
-    report.derived["eps_t"] = matrix_strings(h.eps_t)
-    report.derived["eps_s"] = matrix_strings(h.eps_s)
-    report.derived["eps_t'"] = matrix_strings(h.eps_t_prime)
-    report.derived["eps_s'"] = matrix_strings(h.eps_s_prime)
-    report.derived["H_t basis"] = [[fmt(x) for x in v] for v in h.ht.basis]
-    report.derived["H_s basis"] = [[fmt(x) for x in v] for v in h.hs.basis]
-    report.derived["dim H_t"] = h.ht.dim
-    report.derived["dim H_s"] = h.hs.dim
+    h = _load_reported(report, args.file)
+    if h is not None:
+        fmt = h.field.fmt
+        report.derived["eps_t"] = matrix_strings(h.eps_t)
+        report.derived["eps_s"] = matrix_strings(h.eps_s)
+        report.derived["eps_t'"] = matrix_strings(h.eps_t_prime)
+        report.derived["eps_s'"] = matrix_strings(h.eps_s_prime)
+        report.derived["H_t basis"] = [[fmt(x) for x in v] for v in h.ht.basis]
+        report.derived["H_s basis"] = [[fmt(x) for x in v] for v in h.hs.basis]
+        report.derived["dim H_t"] = h.ht.dim
+        report.derived["dim H_s"] = h.hs.dim
     return _finish_report(report, args)
 
 
 def cmd_lemmas(args) -> int:
     report = Report("lemmas", [args.file])
-    try:
-        h, _ = _load_wba(args.file)
-    except MalformedInput as exc:
-        report.add_error("malformed", str(exc))
-        return _finish_report(report, args)
-    except AxiomViolation as exc:
-        report.add_check(_axiom_check_name(exc), exc.verdict)
-        return _finish_report(report, args)
-    report.add_check("weak-bialgebra-axioms", Verdict.passing())
-    report.add_check("lemma-suite", lemma_suite(h))
+    h = _load_reported(report, args.file)
+    if h is not None:
+        report.add_check("lemma-suite", lemma_suite(h))
     return _finish_report(report, args)
 
 
 def cmd_decompose(args) -> int:
     report = Report("decompose", [args.file])
-    try:
-        h, _ = _load_wba(args.file)
-    except MalformedInput as exc:
-        report.add_error("malformed", str(exc))
-        return _finish_report(report, args)
-    except AxiomViolation as exc:
-        report.add_check(_axiom_check_name(exc), exc.verdict)
-        return _finish_report(report, args)
-    report.add_check("weak-bialgebra-axioms", Verdict.passing())
-    res = decomp.decompose(h)
-    fmt = h.field.fmt
-    report.derived["blocks"] = res.block_count
-    report.derived["block dims"] = [b.dim for b in res.blocks]
-    report.derived["block idempotents"] = [[fmt(x) for x in e] for e in res.block_idempotents]
-    report.derived["certificates"] = list(res.certificates)
+    h = _load_reported(report, args.file)
+    if h is not None:
+        res = decomp.decompose(h)
+        fmt = h.field.fmt
+        report.derived["blocks"] = res.block_count
+        report.derived["block dims"] = [b.dim for b in res.blocks]
+        report.derived["block idempotents"] = [[fmt(x) for x in e] for e in res.block_idempotents]
+        report.derived["certificates"] = list(res.certificates)
     return _finish_report(report, args)
 
 
@@ -256,48 +243,36 @@ def cmd_reconstruct(args) -> int:
     return _finish_report(report, args)
 
 
-def _emit_document(doc: dict, args) -> int:
-    _write_output(emit(doc), args.out)
-    return EXIT_PASS
-
-
-def cmd_dsum(args) -> int:
+def _emit_built(build, args) -> int:
+    """Write the document of the weak bialgebra build() returns, or say on
+    stderr why it could not be built."""
     try:
-        a, _ = _load_wba(args.file_a)
-        b, _ = _load_wba(args.file_b)
-        out = decomp.direct_sum(a, b)
+        out = build()
     except MalformedInput as exc:
         sys.stderr.write(f"error [malformed]: {exc}\n")
         return EXIT_MALFORMED
     except (AxiomViolation, PreconditionError) as exc:
         sys.stderr.write(f"error [violation]: {exc}\n")
         return EXIT_VIOLATION
-    return _emit_document(document_from_wba(out), args)
+    _write_output(emit(document_from_wba(out)), args.out)
+    return EXIT_PASS
+
+
+def cmd_dsum(args) -> int:
+    return _emit_built(
+        lambda: decomp.direct_sum(_load_wba(args.file_a)[0], _load_wba(args.file_b)[0]), args
+    )
 
 
 def cmd_dualize(args) -> int:
-    try:
-        h, _ = _load_wba(args.file)
-        from .weakbia import dualize
-
-        out = dualize(h)
-    except MalformedInput as exc:
-        sys.stderr.write(f"error [malformed]: {exc}\n")
-        return EXIT_MALFORMED
-    except AxiomViolation as exc:
-        sys.stderr.write(f"error [violation]: {exc}\n")
-        return EXIT_VIOLATION
-    return _emit_document(document_from_wba(out), args)
+    return _emit_built(lambda: dualize(_load_wba(args.file)[0]), args)
 
 
 def cmd_fixture(args) -> int:
-    try:
-        field = parse_field_name(args.field) if args.field else None
-        h = fixtures.preset(args.name, field)
-    except MalformedInput as exc:
-        sys.stderr.write(f"error [malformed]: {exc}\n")
-        return EXIT_MALFORMED
-    return _emit_document(document_from_wba(h), args)
+    return _emit_built(
+        lambda: fixtures.preset(args.name, parse_field_name(args.field) if args.field else None),
+        args,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,7 +13,6 @@ Theorem-level block idempotents.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from operator import add, mul, sub
 
@@ -27,7 +26,6 @@ from .errors import (
 )
 from .exactla import (
     Matrix,
-    Mod,
     Subspace,
     column_space,
     ints_differ,
@@ -35,7 +33,7 @@ from .exactla import (
     intersect,
     inverse,
     lift_to_ints,
-    solve,
+    rref,
     vec_unit,
     vec_zero,
 )
@@ -49,6 +47,7 @@ from .structure import (
     _sides_differ,
     center,
 )
+from .poly import _coprime_split, _poly_divmod, _poly_extended_gcd, _poly_mul
 from .weakbia import WeakBialgebra, _dense, build_weak_bialgebra, verify_antipode
 from .comod import Comodule
 
@@ -224,294 +223,85 @@ def _coords(space: Subspace, x, what: str) -> list:
     return [x[c] for c in space.pivots]
 
 
-# ---------------------------------------------------------------------------
-# polynomial helpers (coefficient lists, index = degree, always exact)
-
-
-def _poly_trim(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_mul(field, p, q):
-    z = field.zero
-    out = [z] * (len(p) + len(q) - 1) if p and q else []
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            if b:
-                out[i + j] = out[i + j] + a * b
-    return _poly_trim(out)
-
-
-def _poly_divmod(field, p, q):
-    p = list(p)
-    q = list(q)
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    z = field.zero
-    quot = [z] * max(0, len(p) - len(q) + 1)
-    lead = q[-1]
-    while len(p) >= len(q) and p:
-        c = p[-1] / lead
-        d = len(p) - len(q)
-        quot[d] = c
-        for i, b in enumerate(q):
-            p[d + i] = p[d + i] - c * b
-        _poly_trim(p)
-    return _poly_trim(quot), p
-
-
-def _poly_eval(field, p, x):
-    acc = field.zero
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def _minimal_polynomial(h: WeakBialgebra, w, unit_vec, space: Subspace):
-    """Monic minimal polynomial of w in the unital algebra on `space`."""
+    """Monic minimal polynomial of w in the unital algebra on `space`: the
+    powers w^0 = unit_vec, ..., w^dim are put through one elimination, and the
+    first power that depends on the lower ones gives the coefficients."""
     field = h.field
     powers = [tuple(unit_vec)]
-    current = tuple(unit_vec)
     for _ in range(space.dim):
-        current = h.multiply(current, w)
-        mat = Matrix.from_cols(field, powers, rows=h.dim)
-        target = Matrix.from_cols(field, [current], rows=h.dim)
-        x = solve(mat, target)
-        if x is not None:
-            coeffs = [-c for c in x.col(0)]
-            coeffs.append(field.one)
-            return coeffs
-        powers.append(current)
-    raise InternalInconsistency("minimal polynomial exceeded the subalgebra dimension")
+        powers.append(h.multiply(powers[-1], w))
+    red, pivots = rref(Matrix.from_cols(field, powers, rows=h.dim))
+    deg = len(pivots)
+    if deg > space.dim:
+        raise InternalInconsistency("minimal polynomial exceeded the subalgebra dimension")
+    return [-dict(row).get(deg, field.zero) for row in red.nz[:deg]] + [field.one]
 
 
-def _rational_root_candidates(p):
-    """Candidate rational roots of a rational-coefficient polynomial."""
-    denom_lcm = lcm(*[c.denominator for c in p])
-    ints = [int(c * denom_lcm) for c in p]
-    out = []
-    if ints and ints[0] == 0:
-        out.append(Fraction(0))
-        while ints and ints[0] == 0:
-            ints = ints[1:]
-    if not ints:
-        return out
-    low, high = ints[0], ints[-1]
-    for a in _divisors(abs(low)):
-        for b in _divisors(abs(high)):
-            out.append(Fraction(a, b))
-            out.append(Fraction(-a, b))
-    return out
-
-
-def _divisors(n):
-    if n == 0:
-        return []
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
-
-
-def _find_roots(field, p):
-    """All roots of p in the field that this toolkit can certify, plus a
-    flag telling whether the search was exhaustive."""
-    if field.kind == "rationals":
-        roots = []
-        seen = set()
-        for cand in _rational_root_candidates(p):
-            if cand in seen:
-                continue
-            seen.add(cand)
-            if not _poly_eval(field, p, cand):
-                roots.append(cand)
-        return sorted(roots), True
-    if field.characteristic == 2:
-        # equal-degree splitting needs an odd p; GF(2) has two candidates
-        roots = [Mod(v, 2) for v in range(2) if not _poly_eval(field, p, Mod(v, 2))]
-        return roots, True
-    return _gf_roots(field, p), True
-
-
-def _gf_roots(field, f):
-    """The roots of f over GF(p) for odd p, in increasing order.
-
-    gcd(f, x^p - x) is the product of the distinct linear factors of f; it is
-    split by equal-degree splitting, gcd(g, (x + a)^((p-1)/2) - 1) for the
-    shifts a = 0, 1, 2, ... in turn, so the result does not depend on chance.
-    """
-    char = field.characteristic
-    one = field.one
-    x = [field.zero, one]
-    xp = _poly_powmod(field, x, char, f)
-    pending = [_poly_extended_gcd(field, f, _poly_sub(field, xp, x))[0]]
-    roots = []
-    while pending:
-        g = pending.pop()
-        if len(g) == 2:
-            roots.append(-g[0])
-            continue
-        if len(g) < 2:
-            continue
-        a = 0
-        while True:
-            shifted = _poly_powmod(field, [field.of(a), one], (char - 1) // 2, g)
-            d = _poly_extended_gcd(field, g, _poly_sub(field, shifted, [one]))[0]
-            if 1 < len(d) < len(g):
-                pending.append(d)
-                pending.append(_poly_divmod(field, g, d)[0])
-                break
-            a += 1
-    return sorted(roots, key=lambda r: r.value)
-
-
-def _poly_powmod(field, base, e, modulus):
-    """base^e modulo the polynomial modulus, by repeated squaring."""
-    result = [field.one]
-    base = _poly_divmod(field, base, modulus)[1]
-    while e:
-        if e & 1:
-            result = _poly_divmod(field, _poly_mul(field, result, base), modulus)[1]
-        base = _poly_divmod(field, _poly_mul(field, base, base), modulus)[1]
-        e >>= 1
-    return result
-
-
-def _poly_sub(field, a, b):
-    return _poly_trim([x - y for x, y in _pad(field, a, b)])
-
-
-def _coprime_split(field, minpoly):
-    """Split the minimal polynomial into (t - root)^mult factors plus a leftover.
-
-    Returns (factors, leftover, exhaustive) where factors are coprime monic
-    polynomials covering the found roots with full multiplicity.
-    """
-    roots, exhaustive = _find_roots(field, minpoly)
-    factors = []
-    rest = list(minpoly)
-    for lam in roots:
-        lin = [-lam, field.one]
-        factor = [field.one]
-        while True:
-            quot, rem = _poly_divmod(field, rest, lin)
-            if rem:
-                break
-            rest = quot
-            factor = _poly_mul(field, factor, lin)
-        factors.append(factor)
-    return factors, rest, exhaustive
-
-
-def _poly_extended_gcd(field, a, b):
-    """(g, x, y) with x*a + y*b = g, g monic."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [field.one], []
-    t0, t1 = [], [field.one]
-    while r1:
-        q, r = _poly_divmod(field, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(field, s0, _poly_mul(field, q, s1))
-        t0, t1 = t1, _poly_sub(field, t0, _poly_mul(field, q, t1))
-    if r0:
-        lead = r0[-1]
-        inv = field.one / lead
-        r0 = [c * inv for c in r0]
-        s0 = [c * inv for c in s0]
-        t0 = [c * inv for c in t0]
-    return r0, s0, t0
-
-
-def _pad(field, a, b):
-    z = field.zero
-    n = max(len(a), len(b))
-    return list(zip(a + [z] * (n - len(a)), b + [z] * (n - len(b))))
-
-
-def _eval_poly_in_algebra(h: WeakBialgebra, p, w, unit_vec):
+def _crt_idempotents(h: WeakBialgebra, w, f, minpoly, parts) -> list[tuple]:
+    """For coprime parts of the minimal polynomial of w in fK, the idempotents
+    u(w) with u = 1 mod one part and 0 mod the others (CRT), each evaluated by
+    Horner's rule with f as the unit and checked."""
     field = h.field
-    acc = vec_zero(field, h.dim)
-    for c in reversed(p):
-        acc = h.multiply(acc, w)
-        if c:
-            acc = tuple([a + c * u for a, u in zip(acc, unit_vec)])
-    return acc
+    out = []
+    for part in parts:
+        cof = _poly_divmod(field, minpoly, part)[0]
+        g, x, _ = _poly_extended_gcd(field, cof, part)
+        if len(g) != 1:
+            raise InternalInconsistency("minimal polynomial factors not coprime")
+        e = vec_zero(field, h.dim)
+        for c in reversed(_poly_mul(field, x, cof)):
+            e = h.multiply(e, w)
+            if c:
+                e = tuple([a + c * u for a, u in zip(e, f)])
+        if h.multiply(e, e) != e:
+            raise InternalInconsistency("CRT idempotent failed idempotency")
+        if not any(e):
+            raise InternalInconsistency("CRT produced a zero idempotent")
+        out.append(tuple(e))
+    return out
 
 
 @dataclass
 class _Piece:
     idempotent: tuple
-    certified: bool = False
-
-
-def _piece_basis(h: WeakBialgebra, k_space: Subspace, f) -> list[tuple]:
-    """Echelon basis of f*K, the piece of K cut out by the idempotent f."""
-    vecs = [h.multiply(f, z) for z in k_space.basis]
-    return list(Subspace(h.field, h.dim, vecs).basis)
+    certified: bool
 
 
 def _split_pieces(h: WeakBialgebra, k_space: Subspace):
-    """Primitive idempotents of K with per-piece certificates."""
+    """Primitive idempotents of K with per-piece certificates.
+
+    Each piece f is examined once.  fK is put through elimination once, and
+    the minimal polynomial of each candidate (the echelon basis of fK, then
+    its pairwise sums and products) is computed once, until one has two
+    coprime parts: their CRT idempotents replace f.  A piece that no
+    candidate splits is final, and certified unless the minimal polynomial of
+    a basis vector leaves a factor without a root in the field.
+    """
     field = h.field
-    pieces = [_Piece(tuple(h.unit))]
-    changed = True
-    while changed:
-        changed = False
-        for idx, piece in enumerate(list(pieces)):
-            basis = _piece_basis(h, k_space, piece.idempotent)
-            if len(basis) <= 1:
-                continue
-            space = Subspace(field, h.dim, basis)
-            candidates = list(basis)
-            for i in range(len(basis)):
-                for j in range(i + 1, len(basis)):
-                    candidates.append(tuple(map(add, basis[i], basis[j])))
-                    candidates.append(tuple(h.multiply(basis[i], basis[j])))
-            for w in candidates:
-                minpoly = _minimal_polynomial(h, w, piece.idempotent, space)
-                factors, leftover, _ = _coprime_split(field, minpoly)
-                parts = list(factors)
-                if len(leftover) > 1:
-                    parts.append(leftover)
-                if len(parts) < 2:
-                    continue
-                new_pieces = []
-                for part in parts:
-                    cof, _ = _poly_divmod(field, minpoly, part)
-                    g, x, _ = _poly_extended_gcd(field, cof, part)
-                    if len(g) != 1:
-                        raise InternalInconsistency("minimal polynomial factors not coprime")
-                    u = _poly_mul(field, x, cof)
-                    e = _eval_poly_in_algebra(h, u, w, piece.idempotent)
-                    if h.multiply(e, e) != e:
-                        raise InternalInconsistency("CRT idempotent failed idempotency")
-                    if not any(e):
-                        raise InternalInconsistency("CRT produced a zero idempotent")
-                    new_pieces.append(_Piece(tuple(e)))
-                pieces = pieces[:idx] + new_pieces + pieces[idx + 1 :]
-                changed = True
-                break
-            if changed:
-                break
-    for piece in pieces:
-        basis = _piece_basis(h, k_space, piece.idempotent)
-        space = Subspace(field, h.dim, basis)
+    pending = [tuple(h.unit)]
+    pieces = []
+    while pending:
+        f = pending.pop()
+        space = Subspace(field, h.dim, [h.multiply(f, z) for z in k_space.basis])
+        basis = space.basis if space.dim > 1 else ()
+        candidates = list(basis)
+        for i in range(len(basis)):
+            for j in range(i + 1, len(basis)):
+                candidates.append(tuple(map(add, basis[i], basis[j])))
+                candidates.append(tuple(h.multiply(basis[i], basis[j])))
         certified = True
-        for w in basis:
-            minpoly = _minimal_polynomial(h, w, piece.idempotent, space)
-            factors, leftover, exhaustive = _coprime_split(field, minpoly)
-            if len(leftover) > 1 or not exhaustive or len(factors) > 1:
-                certified = False
+        for idx, w in enumerate(candidates):
+            minpoly = _minimal_polynomial(h, w, f, space)
+            factors, leftover = _coprime_split(field, minpoly)
+            parts = factors + [leftover] if len(leftover) > 1 else factors
+            if len(parts) > 1:
+                pending.extend(_crt_idempotents(h, w, f, minpoly, parts))
                 break
-        piece.certified = certified
+            if idx < len(basis) and len(leftover) > 1:
+                certified = False
+        else:
+            pieces.append(_Piece(f, certified))
     pieces.sort(key=lambda p: p.idempotent)
     return pieces
 

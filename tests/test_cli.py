@@ -260,3 +260,24 @@ def test_mistyped_document_keys_exit_two(capsys, tmp_path, key, value):
     assert code == 2
     assert "error [malformed]" in out
     assert "Traceback" not in out + err
+
+
+def test_decompose_with_huge_rational_constants_is_bounded(capsys, tmp_path):
+    # k + k in the basis (1, 0), (N, 1): the minimal polynomial (t - 1)(t - N)
+    # has a 31-digit constant, far beyond root search by trial division
+    from test_axiom_kernels import rebased
+    from weakhopf.decomp import direct_sum
+    from weakhopf.fixtures import preset
+    from weakhopf.serialize import document_from_wba, emit
+    from weakhopf.weakbia import build_weak_bialgebra
+
+    alg, coa, _ = rebased(direct_sum(preset("k"), preset("k")), [(1, 10**30 + 57), (0, 1)])
+    path = tmp_path / "huge.wba.json"
+    path.write_text(emit(document_from_wba(build_weak_bialgebra(alg, coa))), encoding="utf-8")
+    start = time.perf_counter()
+    code, out = run(capsys, ["decompose", str(path)])
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert "blocks: 2\n" in out
+    assert "block dims: [1 1]\n" in out
+    assert "certificates: [indecomposable indecomposable]\n" in out

@@ -11,9 +11,6 @@ from weakhopf.decomp import (
     CERT_INDECOMPOSABLE,
     CERT_UNDECIDED,
     LeftModule,
-    _coprime_split,
-    _find_roots,
-    _poly_mul,
     _split_pieces,
     decompose,
     direct_sum,
@@ -24,6 +21,7 @@ from weakhopf.decomp import (
     split_module,
 )
 from weakhopf.fixtures import cyclic_group_table, group_algebra, preset
+from weakhopf.poly import _coprime_split, _find_roots, _poly_mul
 
 
 def test_direct_sum_dims_and_subalgebras(c2, gpd2, sum_wba):
@@ -224,8 +222,7 @@ def test_coprime_split_flags_nonlinear_leftover():
     # (t - 1)(t^2 + 1): one rational root, an irreducible leftover
     one = Fraction(1)
     poly = [-one, one, -one, one]  # t^3 - t^2 + t - 1
-    factors, leftover, exhaustive = _coprime_split(QQ, poly)
-    assert exhaustive
+    factors, leftover = _coprime_split(QQ, poly)
     assert factors == [[-one, one]]
     assert leftover == [one, Fraction(0), one]
 
@@ -262,9 +259,8 @@ def test_find_roots_over_prime_fields(p):
     poly = [f.of(7)]
     for factor in ([-3, 1], [-3, 1], [-5, 1], [-2, 0, 1]):
         poly = _poly_mul(f, poly, [f.of(c) for c in factor])
-    roots, exhaustive = _find_roots(f, poly)
+    roots = _find_roots(f, poly)
     expected = sorted({3 % p, 5 % p} | {v for v in range(p) if (v * v - 2) % p == 0})
-    assert exhaustive
     assert [r.value for r in roots] == expected
 
 
