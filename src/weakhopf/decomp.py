@@ -12,6 +12,7 @@ Theorem-level block idempotents.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from math import lcm
 from operator import add, mul, sub
@@ -262,10 +263,7 @@ def _crt_idempotents(h: WeakBialgebra, w, f, minpoly, parts) -> list[tuple]:
     return out
 
 
-@dataclass
-class _Piece:
-    idempotent: tuple
-    certified: bool
+_Piece = namedtuple("_Piece", ["idempotent", "certified"])
 
 
 def _split_pieces(h: WeakBialgebra, k_space: Subspace):

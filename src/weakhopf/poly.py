@@ -139,10 +139,10 @@ def _rational_roots(p):
     With f = c_n t^n + ... + c_0 (c_0 != 0) the primitive integer form of p
     without the factor t, a root a/b has |a|, b <= B = max(|c_0|, |c_n|).  Its
     residue is a root of f mod l, for the smallest prime l not dividing c_n at
-    which every root is simple (f turns square-free first if one is not).
-    Newton's step lifts each root mod l to l^(2^k) > 2 B^2, where a/b is the
-    one fraction with |a|, b <= B that matches; lifts that are exact roots are
-    kept.  The cost is polynomial in the bit size of the coefficients.
+    which every root is simple; f turns square-free at the second l where one
+    is not.  Newton's step lifts each root mod l to l^(2^k) > 2 B^2, where a/b
+    is the one fraction with |a|, b <= B that matches; lifts that are exact
+    roots are kept.  The cost is polynomial in the bit size of the coefficients.
     """
     f = _int_poly(p)
     roots = []
@@ -152,15 +152,18 @@ def _rational_roots(p):
             f.pop(0)
     if len(f) < 2:
         return roots
-    ell, square_free = 2, False
+    ell, multiple = 2, 0
     while True:
         df = [i * c for i, c in enumerate(f)][1:]
         if f[-1] % ell:
             residues = [r for r in range(ell) if not _eval_mod(f, r, ell)]
             if all(_eval_mod(df, r, ell) for r in residues):
                 break
-            if not square_free:
-                f, square_free = _square_free(f), True
+            # l divides the discriminant (two roots agree mod 2 often) or f has
+            # a repeated root; at the second such l, f turns square-free
+            multiple += 1
+            if multiple == 2:
+                f = _square_free(f)
                 continue
         ell += 1
         while not _is_prime(ell):
