@@ -2,7 +2,7 @@
 
 The decomposition algorithm works inside K = Z(H) cap H_t cap H_s, where
 every block unit provably lives: split K into primitive idempotents by
-minimal polynomials (rational roots over Q, exhaustive roots over prime
+minimal polynomials (rational roots over Q, every root over prime
 fields; anything beyond that is flagged undecided, never guessed),
 then merge the primitive idempotents along comultiplication leakage until
 every block sum e satisfies Delta(e) in eH (x) eH.  Each merge is forced in
