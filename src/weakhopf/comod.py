@@ -28,11 +28,10 @@ from .exactla import (
     Subspace,
     _kernel_nz,
     inverse,
-    lift_to_ints,
-    quotient_basis,
+    _int_quotient,
     vec_zero,
 )
-from .structure import _comul, _dict_violations, _field_items, _sides_differ, _unit_violations
+from .structure import _comul, _dict_violation, _field_items, _sides_differ, _unit_violation
 from .weakbia import WeakBialgebra
 
 
@@ -61,6 +60,7 @@ def _coaction_ints(h: WeakBialgebra, dim: int, coaction: Matrix) -> tuple:
 def _coaction_nz_verdict(h: WeakBialgebra, dim: int, nz, s: int) -> Verdict:
     """The comodule axioms of `coaction_verdict` on the lifted nonzeros nz at scale s."""
     field = h.field
+    p = field.characteristic
     dnz, sd, eps, se = h.coa.ints()
     violations = []
     # coassociativity: (rho (x) id) rho = (id (x) Delta) rho
@@ -74,36 +74,40 @@ def _coaction_nz_verdict(h: WeakBialgebra, dim: int, nz, s: int) -> Verdict:
             for j2, k2, d in dnz[j]:
                 key = (a, j2, k2)
                 rhs[key] = rhs.get(key, 0) + c * d
-        violations += _dict_violations(field, "comodule coassociativity", (i,), lhs, s * s, rhs, s * sd)
-    # counit: (id (x) eps) rho = id
+        if _sides_differ(p, lhs, s * s, rhs, s * sd):
+            violations.append(
+                _dict_violation(field, "comodule coassociativity", (i,), lhs, s * s, rhs, s * sd))
+    # counit: (id (x) eps) rho = id, on acc minus the unit vector
     for i in range(dim):
-        acc = {}
+        acc = {i: -s * se}
         for a, j, c in nz[i]:
             if eps[j]:
                 acc[a] = acc.get(a, 0) + c * eps[j]
-        violations += _unit_violations(field, "comodule counit", i, acc, s * se, dim)
+        if any([x % p for x in acc.values()] if p else acc.values()):
+            violations.append(_unit_violation(field, "comodule counit", i, acc, s * se, dim))
     if violations:
         return Verdict(tuple(violations))
     # 2.5(3)(iii) via the double expansion (coassociativity already holds)
     left_pairs, right_pairs, sp, _, _ = h.comodule_ints()
     for i in range(dim):
         for law, pairs in (("2.5(3)(iii) left", left_pairs), ("2.5(3)(iii) right", right_pairs)):
-            acc = {}
+            acc = {i: -s * s * sp}
             for a, j, c in nz[i]:
                 pj = pairs[j]
                 for a2, j1, c2 in nz[a]:
                     if pj[j1]:
                         acc[a2] = acc.get(a2, 0) + c * c2 * pj[j1]
-            violations += _unit_violations(field, law, i, acc, s * s * sp, dim)
+            if any([x % p for x in acc.values()] if p else acc.values()):
+                violations.append(_unit_violation(field, law, i, acc, s * s * sp, dim))
     return Verdict(tuple(violations))
 
 
 class Comodule:
     """A verified right comodule with its (H_s, H_s)-action tensors.
 
-    The lifted coaction (`ints`) and action tensors (`act_ints`) are made
-    with the instance; `left_act` and `right_act` are their field matrices,
-    built on first read.
+    The lifted coaction (`ints`) is made with the instance; the action tensors
+    (`act_ints`) and their field matrices `left_act` and `right_act` are built
+    on first read.
     """
 
     __slots__ = ("over", "dim", "coaction", "_ints", "_acts", "_act_matrices")
@@ -117,17 +121,7 @@ class Comodule:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "coaction", coaction)
         object.__setattr__(self, "_ints", (nz, s))
-        *_, eps_rows, sy = over.comodule_ints()
-        acts = ([], [])
-        for ys in eps_rows:
-            for side, y in zip(acts, ys):
-                cols = [{} for _ in range(dim)]
-                for col, terms in zip(cols, nz):
-                    for a, j, c in terms:
-                        if y[j]:
-                            col[a] = col.get(a, 0) + c * y[j]
-                side.append(cols)
-        object.__setattr__(self, "_acts", (*acts, s * sy))
+        object.__setattr__(self, "_acts", None)
         object.__setattr__(self, "_act_matrices", None)
 
     def __setattr__(self, name, val):
@@ -139,7 +133,20 @@ class Comodule:
 
     def act_ints(self) -> tuple:
         """(left, right, scale): left[r][b] and right[r][b] are the {a: int} columns
-        of y_r . m_b and m_b . y_r at scale, for the H_s basis vectors y_r."""
+        of y_r . m_b and m_b . y_r at scale, for the H_s basis vectors y_r; built on first read."""
+        if self._acts is None:
+            nz, s = self._ints
+            *_, eps_rows, sy = self.over.comodule_ints()
+            acts = ([], [])
+            for ys in eps_rows:
+                for side, y in zip(acts, ys):
+                    cols = [{} for _ in range(self.dim)]
+                    for col, terms in zip(cols, nz):
+                        for a, j, c in terms:
+                            if y[j]:
+                                col[a] = col.get(a, 0) + c * y[j]
+                    side.append(cols)
+            object.__setattr__(self, "_acts", (*acts, s * sy))
         return self._acts
 
     @property
@@ -154,7 +161,7 @@ class Comodule:
 
     def _matrices(self) -> tuple:
         if self._act_matrices is None:
-            *sides, s = self._acts
+            *sides, s = self.act_ints()
             mats = [tuple([Matrix.from_int_cols(self.over.field, cols, s, self.dim) for cols in side])
                     for side in sides]
             object.__setattr__(self, "_act_matrices", tuple(mats))
@@ -243,7 +250,8 @@ def comodule_map_verdict(source: Comodule, target: Comodule, matrix: Matrix) -> 
             for b, fc in fcols[a]:
                 key = (b, j)
                 rhs[key] = rhs.get(key, 0) + c * fc
-        violations += _dict_violations(field, "comodule map law", (i,), lhs, sf * st, rhs, ss * sf)
+        if _sides_differ(p, lhs, sf * st, rhs, ss * sf):
+            violations.append(_dict_violation(field, "comodule map law", (i,), lhs, sf * st, rhs, ss * sf))
     if violations:
         return Verdict(tuple(violations))
     sl, sr, sa = source.act_ints()
@@ -321,37 +329,41 @@ def bimodule_action(c: Comodule, side: str, y, m) -> tuple:
 
 
 class TensorComodule(Comodule):
-    """M (x)_{H_s} N with its quotient data and the induced diagonal coaction."""
+    """M (x)_{H_s} N with its quotient data and the induced diagonal coaction.
 
-    __slots__ = ("factors", "relators", "reps", "projection", "section")
+    The relators span the image of 1 - E for the truncation idempotent
+    E(m (x) n) = m_(0) (x) n_(0) eps(m_(1) n_(1)) (see the README), so they are
+    generated by the m*p vectors e_f - E(e_f).  Their reduced int rows give
+    `reps` and the int columns of the projection (`projection_ints`);
+    `relators`, `projection` and `section` are field views built on first read.
+    """
+
+    __slots__ = ("factors", "reps", "_relator_rows", "_proj", "_views")
 
     def __init__(self, left: Comodule, right: Comodule):
         if left.over is not right.over:
             raise MalformedInput("tensor product across different weak bialgebras")
         h = left.over
         n = h.dim
-        field = h.field
-        char = field.characteristic
+        char = h.field.characteristic
         m, p = left.dim, right.dim
         amb = m * p
-        # the relator generators (m.y) (x) n - m (x) (y.n), at scale s1 * s2
+        (left_nz, sl), (right_nz, sr) = left.ints(), right.ints()
+        e, se = h.eps_pair_ints()
+        # the relator generators e_f - E(e_f), at scale sl * sr * se
         gens = []
-        _, right_acts, s1 = left.act_ints()
-        left_acts, _, s2 = right.act_ints()
-        for rcols, lcols in zip(right_acts, left_acts):
-            for a in range(m):
-                for b in range(p):
-                    w = {}
-                    for a2, cc in rcols[a].items():
-                        w[a2 * p + b] = w.get(a2 * p + b, 0) + cc * s2
-                    for b2, cc in lcols[b].items():
-                        w[a * p + b2] = w.get(a * p + b2, 0) - cc * s1
-                    gens.append(w)
-        relators = Subspace.from_int_rows(field, amb, gens)
-        reps, projection, section = quotient_basis(amb, relators)
+        for a in range(m):
+            for b in range(p):
+                w = {a * p + b: sl * sr * se}
+                for a2, j, c1 in left_nz[a]:
+                    ej = e[j]
+                    for b2, k, c2 in right_nz[b]:
+                        if ej[k]:
+                            w[a2 * p + b2] = w.get(a2 * p + b2, 0) - c1 * c2 * ej[k]
+                gens.append(w)
+        rows, reps, proj, sp = _int_quotient(char, amb, gens)
         t = len(reps)
         mnz, sm, _, _ = h.alg.ints()
-        (left_nz, sl), (right_nz, sr) = left.ints(), right.ints()
 
         def big_coaction(vec):
             """rho_{M (x) N} of the int vector with nonzeros vec, as {(pair, l): coef}
@@ -370,25 +382,48 @@ class TensorComodule(Comodule):
             return out
 
         # descent: the coaction must map relators into relators (x) H
-        proj_cols, sp = projection.col_ints()
-        for row in relators.nz:
-            v, _ = lift_to_ints(field, tuple([x for _, x in row]))
-            for (pair, l), coef in big_coaction(zip([f for f, _ in row], v)).items():
-                if proj_cols[pair] and (coef % char if char else coef):
+        for row in rows.values():
+            for (pair, l), coef in big_coaction(row.items()).items():
+                if proj[pair] and (coef % char if char else coef):
                     raise InternalInconsistency("tensor coaction does not descend to the quotient")
         cols = [{} for _ in range(t)]
         for q, f in enumerate(reps):
             col = cols[q]
             for (pair, l), coef in big_coaction([(f, 1)]).items():
-                for q2, pc in proj_cols[pair]:
+                for q2, pc in proj[pair].items():
                     col[q2 * n + l] = col.get(q2 * n + l, 0) + pc * coef
-        coaction = Matrix.from_int_cols(field, cols, sp * sl * sr * sm, t * n)
+        coaction = Matrix.from_int_cols(h.field, cols, sp * sl * sr * sm, t * n)
         object.__setattr__(self, "factors", (left, right))
-        object.__setattr__(self, "relators", relators)
         object.__setattr__(self, "reps", reps)
-        object.__setattr__(self, "projection", projection)
-        object.__setattr__(self, "section", section)
+        object.__setattr__(self, "_relator_rows", rows)
+        object.__setattr__(self, "_proj", (proj, sp))
+        object.__setattr__(self, "_views", {})
         super().__init__(h, t, coaction)
+
+    def projection_ints(self) -> tuple:
+        """(cols, scale): cols[f] is the {rep index: int} column of e_f in the projection, at scale."""
+        return self._proj
+
+    def _view(self, name: str, build):
+        if name not in self._views:
+            self._views[name] = build(self.over.field, len(self._proj[0]))
+        return self._views[name]
+
+    @property
+    def relators(self) -> Subspace:
+        """The relator span in canonical echelon form, built on first read."""
+        return self._view("relators", lambda f, amb: Subspace._reduced(f, amb, self._relator_rows))
+
+    @property
+    def projection(self) -> Matrix:
+        """The projection onto the quotient in the `reps` coordinates, built on first read."""
+        return self._view("projection", lambda f, amb: Matrix.from_int_cols(f, *self._proj, self.dim))
+
+    @property
+    def section(self) -> Matrix:
+        """The coordinate injection of the quotient at `reps`, built on first read."""
+        return self._view("section", lambda f, amb: Matrix.from_int_cols(
+            f, [{r: 1} for r in self.reps], 1, amb))
 
 
 def tensor_over_source(a: Comodule, b: Comodule) -> TensorComodule:
@@ -425,38 +460,21 @@ def unitors(c: Comodule):
     one_s = h.hs.coords_of(h.unit)
     if one_s is None:
         raise InternalInconsistency("the unit escaped H_s")
-
+    out = []
     # y_r (x) m_b sits at r*m + b in unit (x) c, and m_b (x) y_r at b*s + r in c (x) unit
-    lm = tensor_over_source(unit_c, c)
-    act_eval = [
-        tuple([(r * m + b, x) for r in range(s) for b, x in c.left_act[r].nz[a2]])
-        for a2 in range(m)
-    ]
-    l_mat = Matrix._sparse(field, tuple(act_eval), s * m).mul(lm.section)
-    back = [((b, coef),) if coef else () for coef in one_s for b in range(m)]
-    l_inv_mat = lm.projection.mul(Matrix._sparse(field, tuple(back), m))
-
-    rm = tensor_over_source(c, unit_c)
-    act_eval2 = [
-        tuple(sorted((b * s + r, x) for r in range(s) for b, x in c.right_act[r].nz[a2]))
-        for a2 in range(m)
-    ]
-    r_mat = Matrix._sparse(field, tuple(act_eval2), m * s).mul(rm.section)
-    back2 = [((b, coef),) if coef else () for b in range(m) for coef in one_s]
-    r_inv_mat = rm.projection.mul(Matrix._sparse(field, tuple(back2), m))
-
-    l = ComoduleMap(lm, c, l_mat)
-    l_inv = ComoduleMap(c, lm, l_inv_mat)
-    r = ComoduleMap(rm, c, r_mat)
-    r_inv = ComoduleMap(c, rm, r_inv_mat)
-    ident_m = Matrix.identity(field, m)
-    ident_q = Matrix.identity(field, lm.dim)
-    if l_mat.mul(l_inv_mat) != ident_m or l_inv_mat.mul(l_mat) != ident_q:
-        raise InternalInconsistency("left unitor is not an isomorphism")
-    ident_q2 = Matrix.identity(field, rm.dim)
-    if r_mat.mul(r_inv_mat) != ident_m or r_inv_mat.mul(r_mat) != ident_q2:
-        raise InternalInconsistency("right unitor is not an isomorphism")
-    return l, l_inv, r, r_inv
+    for side, t, acts, at in (("left", tensor_over_source(unit_c, c), c.left_act, lambda r, b: r * m + b),
+                              ("right", tensor_over_source(c, unit_c), c.right_act, lambda r, b: b * s + r)):
+        evals = [tuple(sorted((at(r, b), x) for r in range(s) for b, x in acts[r].nz[a2])) for a2 in range(m)]
+        mat = Matrix._sparse(field, tuple(evals), s * m).mul(t.section)
+        back = [()] * (s * m)
+        for r, coef in enumerate(one_s):
+            for b in range(m):
+                back[at(r, b)] = ((b, coef),) if coef else ()
+        inv = t.projection.mul(Matrix._sparse(field, tuple(back), m))
+        out += [ComoduleMap(t, c, mat), ComoduleMap(c, t, inv)]
+        if mat.mul(inv) != Matrix.identity(field, m) or inv.mul(mat) != Matrix.identity(field, t.dim):
+            raise InternalInconsistency(f"{side} unitor is not an isomorphism")
+    return tuple(out)
 
 
 def associator(

@@ -585,7 +585,7 @@ class Matrix:
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form with pivot columns (Gauss-Jordan, exact)."""
-    nz, pivots = _int_rref(m.field, _row_ints(m))
+    nz, pivots = _field_rows(m.field, _int_reduced(m.field.characteristic, _row_ints(m)))
     return Matrix._sparse(m.field, nz + ((),) * (m.rows - len(nz)), m.cols), pivots
 
 
@@ -600,14 +600,13 @@ def _row_ints(m: Matrix) -> list:
     return rows
 
 
-def _int_rref(field: FieldSpec, rows) -> tuple:
-    """(nz, pivots): the reduced echelon form of {column: int} rows as field rows, and its pivots.
+def _int_reduced(p: int, rows) -> dict:
+    """{pivot column: row} of {column: int} rows in reduced echelon form.
 
     `_int_echelon` reduces the rows, so the work follows the nonzeros; a last
     pass, from the rightmost pivot, clears each pivot column in the rows
-    above, and each row is divided by its pivot entry.
+    above.  Each row keeps its own scale, its pivot entry (1 over GF(p)).
     """
-    p = field.characteristic
     pivot_rows = _int_echelon(p, rows)
     pivots = sorted(pivot_rows)
     for k in range(len(pivots) - 1, 0, -1):
@@ -615,11 +614,35 @@ def _int_rref(field: FieldSpec, rows) -> tuple:
         for c in pivots[:k]:
             if pivots[k] in pivot_rows[c]:
                 pivot_rows[c] = _int_clear(p, pivot_rows[c], q, pivots[k])
+    return pivot_rows
+
+
+def _field_rows(field: FieldSpec, pivot_rows: dict) -> tuple:
+    """(nz, pivots): the rows of `_int_reduced` as field rows, each divided by its pivot entry."""
+    pivots = sorted(pivot_rows)
     nz = []
     for c in pivots:
         cols, xs = zip(*sorted(pivot_rows[c].items()))
         nz.append(tuple(zip(cols, ints_to_field(field, xs, pivot_rows[c][c]))))
     return tuple(nz), tuple(pivots)
+
+
+def _int_quotient(p: int, ambient_dim: int, rows) -> tuple:
+    """(pivot_rows, reps, proj, scale): k^ambient_dim modulo the span of {index: int} rows.
+
+    pivot_rows are the rows reduced by `_int_reduced`, reps the non-pivot
+    indices, and proj[f] the {rep index: int} column at scale of the
+    projection of e_f onto the quotient in the reps coordinates: e_f for a
+    rep, minus the rest of its row for a pivot e_c.
+    """
+    pivot_rows = _int_reduced(p, rows)
+    reps = tuple([f for f in range(ambient_dim) if f not in pivot_rows])
+    index = {f: i for i, f in enumerate(reps)}
+    scale = lcm(*[row[c] for c, row in pivot_rows.items()])
+    proj = tuple([{index[f]: scale} if f in index else
+                  {index[g]: -x * (scale // pivot_rows[f][f]) for g, x in pivot_rows[f].items() if g != f}
+                  for f in range(ambient_dim)])
+    return pivot_rows, reps, proj, scale
 
 
 def rank(m: Matrix) -> int:
@@ -701,18 +724,18 @@ class Subspace:
                     f"vector of length {len(v)} in ambient dimension {ambient_dim}"
                 )
         rows = _row_ints(Matrix(field, vectors, cols=ambient_dim))
-        self._init(field, ambient_dim, _int_rref(field, rows))
+        self._init(field, ambient_dim, _field_rows(field, _int_reduced(field.characteristic, rows)))
 
     @staticmethod
     def row_space(m: Matrix) -> "Subspace":
         """The span of the rows of m."""
-        return Subspace.from_int_rows(m.field, m.cols, _row_ints(m))
+        return Subspace._reduced(m.field, m.cols, _int_reduced(m.field.characteristic, _row_ints(m)))
 
     @staticmethod
-    def from_int_rows(field: FieldSpec, ambient_dim: int, rows) -> "Subspace":
-        """The span of the {index: int} rows (each at any scale)."""
+    def _reduced(field: FieldSpec, ambient_dim: int, pivot_rows: dict) -> "Subspace":
+        """The span of rows that `_int_reduced` returned, taken as they are."""
         s = object.__new__(Subspace)
-        s._init(field, ambient_dim, _int_rref(field, rows))
+        s._init(field, ambient_dim, _field_rows(field, pivot_rows))
         return s
 
     def _init(self, field, ambient_dim, echelon):
@@ -839,31 +862,3 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
         vectors.append(w)
     return Subspace.row_space(Matrix._from_dicts(field, vectors, a.ambient_dim))
 
-
-def quotient_basis(
-    ambient_dim: int, relators: Subspace
-) -> tuple[tuple[int, ...], Matrix, Matrix]:
-    """Canonical complement data for k^ambient_dim modulo the relator span.
-
-    Returns the representative standard-basis indices (the non-pivot columns
-    of the relator echelon form), the projection onto the quotient in those
-    coordinates, and a section with projection * section = identity.
-    """
-    if relators.ambient_dim != ambient_dim:
-        raise MalformedInput("relator ambient dimension mismatch")
-    field = relators.field
-    o = field.one
-    pivot_set = set(relators.pivots)
-    reps = tuple(j for j in range(ambient_dim) if j not in pivot_set)
-    # the projection sends e_f to e_f and each pivot e_p to minus the rest of its relator
-    back = {}
-    for p, row in zip(relators.pivots, relators.nz):
-        for f, x in row[1:]:
-            back.setdefault(f, []).append((p, -x))
-    proj_rows = [tuple(sorted(back.get(f, []) + [(f, o)])) for f in reps]
-    projection = Matrix._sparse(field, tuple(proj_rows), ambient_dim)
-    sect_rows = [()] * ambient_dim
-    for i, f in enumerate(reps):
-        sect_rows[f] = ((i, o),)
-    section = Matrix._sparse(field, tuple(sect_rows), len(reps))
-    return reps, projection, section

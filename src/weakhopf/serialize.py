@@ -53,8 +53,15 @@ def _parse_scalar_grid(field, grid, shape, path):
     for i, row in enumerate(grid):
         if not isinstance(row, list) or len(row) != shape[1]:
             raise MalformedInput(f"{path}[{i}]: expected {shape[1]} entries")
-        rows.append(tuple(field.parse(x) for x in row))
+        rows.append(tuple([field.parse(x) for x in row]))
     return rows
+
+
+def _parse_matrix(field, grid, shape, path) -> Matrix:
+    """The matrix of a scalar grid; `FieldSpec.parse` made its entries, so they are not re-checked."""
+    rows = _parse_scalar_grid(field, grid, shape, path)
+    nz = tuple([tuple([(j, x) for j, x in enumerate(row) if x]) for row in rows])
+    return Matrix._sparse(field, nz, shape[1])
 
 
 def _parse_scalar_vector(field, vec, length, path):
@@ -97,7 +104,7 @@ def wba_from_document(doc: dict):
     coa = FiniteCoalgebra(field, basis, comult, counit)
     h = build_weak_bialgebra(alg, coa)
     if "antipode" in doc:
-        s = Matrix(field, _parse_scalar_grid(field, doc["antipode"], (dim, dim), "antipode"), cols=dim)
+        s = _parse_matrix(field, doc["antipode"], (dim, dim), "antipode")
         h = h.with_antipode(s)
     entries = doc.get("comodules", [])
     if not isinstance(entries, list):
@@ -112,10 +119,8 @@ def wba_from_document(doc: dict):
             raise MalformedInput(f"comodules[{i}]: need a name and a nonnegative dim")
         if name in comodules or name in ("regular", "unit"):
             raise MalformedInput(f"comodules[{i}]: duplicate or reserved name {name!r}")
-        rows = _parse_scalar_grid(
-            field, entry.get("coaction"), (cdim * dim, cdim), f"comodules[{i}].coaction"
-        )
-        comodules[name] = Comodule(h, cdim, Matrix(field, rows, cols=cdim))
+        rho = _parse_matrix(field, entry.get("coaction"), (cdim * dim, cdim), f"comodules[{i}].coaction")
+        comodules[name] = Comodule(h, cdim, rho)
     return h, comodules
 
 
@@ -209,22 +214,12 @@ def functor_from_document(
         if not isinstance(expr, str):
             raise MalformedInput(f"assignments[{i}]: missing comodule name")
         com = resolve(expr)
-        rows = _parse_scalar_grid(
-            target.field,
-            entry.get("coaction"),
-            (com.dim * nk, com.dim),
-            f"assignments[{i}].coaction",
-        )
-        assignments.append((com, Matrix(target.field, rows, cols=com.dim)))
+        rho = _parse_matrix(target.field, entry.get("coaction"), (com.dim * nk, com.dim),
+                            f"assignments[{i}].coaction")
+        assignments.append((com, rho))
     unit_map = None
     if "unit_map" in doc:
-        rows = _parse_scalar_grid(
-            target.field,
-            doc["unit_map"],
-            (target.hs.dim, source.hs.dim),
-            "unit_map",
-        )
-        unit_map = Matrix(target.field, rows, cols=source.hs.dim)
+        unit_map = _parse_matrix(target.field, doc["unit_map"], (target.hs.dim, source.hs.dim), "unit_map")
     return FunctorData(source, target, assignments, unit_map)
 
 

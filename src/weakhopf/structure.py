@@ -219,20 +219,20 @@ def _sides_differ(p: int, lhs: dict, sl: int, rhs: dict, sr: int) -> bool:
     over GF(p), or over Q when p == 0."""
     if sl != sr:
         lhs, rhs = {k: v * sr for k, v in lhs.items()}, {k: v * sl for k, v in rhs.items()}
+    if lhs == rhs:
+        return False
     if p:
         return {k: v % p for k, v in lhs.items() if v % p} != {k: v % p for k, v in rhs.items() if v % p}
     return {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}
 
 
-def _dict_violations(
+def _dict_violation(
     field: FieldSpec, law: str, witness: tuple, lhs: dict, sl: int, rhs: dict, sr: int
-) -> list:
-    """`law_violations` for sparse int vectors; each side of the Violation is
+) -> Violation:
+    """The Violation of sparse int vectors that `_sides_differ`; each side is
     its sorted nonzero (key, field value) pairs."""
-    if not _sides_differ(field.characteristic, lhs, sl, rhs, sr):
-        return []
     sides = [[(k, x) for k, x in _field_items(field, acc, s) if x] for acc, s in ((lhs, sl), (rhs, sr))]
-    return [Violation(law, witness, *sides)]
+    return Violation(law, witness, *sides)
 
 
 def _field_items(field: FieldSpec, acc: dict, scale: int) -> list:
@@ -241,18 +241,14 @@ def _field_items(field: FieldSpec, acc: dict, scale: int) -> list:
     return list(zip(keys, ints_to_field(field, tuple([acc[k] for k in keys]), scale)))
 
 
-def _unit_violations(field: FieldSpec, law: str, i: int, acc: dict, scale: int, dim: int) -> list:
-    """[] if the sparse int vector acc / scale is the i-th standard basis vector
-    of k^dim, else its Violation with both sides dense; acc is used up."""
-    p = field.characteristic
-    acc[i] = acc.get(i, 0) - scale
-    if not any([x % p for x in acc.values()] if p else acc.values()):
-        return []
-    acc[i] += scale
+def _unit_violation(field: FieldSpec, law: str, i: int, diff: dict, scale: int, dim: int) -> Violation:
+    """The Violation, both sides dense, of a sparse int vector acc / scale that
+    is not the i-th standard basis vector of k^dim, given as diff = acc - scale * e_i."""
     dense = [0] * dim
-    for a, x in acc.items():
+    for a, x in diff.items():
         dense[a] = x
-    return [Violation(law, (i,), ints_to_field(field, tuple(dense), scale), vec_unit(field, dim, i))]
+    dense[i] += scale
+    return Violation(law, (i,), ints_to_field(field, tuple(dense), scale), vec_unit(field, dim, i))
 
 
 def check_algebra(a: FiniteAlgebra) -> Verdict:
@@ -304,7 +300,8 @@ def check_coalgebra(c: FiniteCoalgebra) -> Verdict:
                 lhs[a, b, k] = lhs.get((a, b, k), 0) + d * e
             for a, b, e in nz[k]:
                 rhs[j, a, b] = rhs.get((j, a, b), 0) + d * e
-        violations += _dict_violations(field, "coassociativity", (i,), lhs, sd * sd, rhs, sd * sd)
+        if _sides_differ(field.characteristic, lhs, sd * sd, rhs, sd * sd):
+            violations.append(_dict_violation(field, "coassociativity", (i,), lhs, sd * sd, rhs, sd * sd))
     for i in range(n):
         one = [int(t == i) for t in range(n)]
         left = [0] * n

@@ -25,7 +25,7 @@ from .errors import (
     Verdict,
     Violation,
 )
-from .exactla import Matrix, ints_differ, ints_to_field, inverse, rank
+from .exactla import Matrix, _int_echelon, ints_differ, ints_to_field, inverse
 from .comod import (
     Comodule,
     ComoduleMap,
@@ -242,9 +242,12 @@ def comonoidal_structure(
     t_h = tensor_over_source(a, b)
     t_k = tensor_over_source(*induced)
     src = induced_functor(phi, t_h)
-    mat = t_k.projection.mul(t_h.section)
+    # projection after the coordinate injection section: the projection's columns at t_h.reps
+    proj, sp = t_k.projection_ints()
+    cols = [proj[f] for f in t_h.reps]
+    mat = Matrix.from_int_cols(phi.target.field, cols, sp, t_k.dim)
     verdict = comodule_map_verdict(src, t_k, mat)
-    r = rank(mat)
+    r = len(_int_echelon(phi.target.field.characteristic, cols))
     surjective = r == t_k.dim
     bijective = surjective and r == src.dim
     phi_s_bijective = phi.phi_s_bijective()

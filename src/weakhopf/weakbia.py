@@ -78,6 +78,7 @@ class WeakBialgebra:
         "antipode",
         "blocks",
         "_comodule_ints",
+        "_eps_table",
     )
 
     def __init__(self, alg, coa, eps, ht, hs, antipode=None, blocks=None):
@@ -92,6 +93,7 @@ class WeakBialgebra:
         object.__setattr__(self, "antipode", antipode)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "_comodule_ints", None)
+        object.__setattr__(self, "_eps_table", None)
 
     def __setattr__(self, name, val):
         raise AttributeError("WeakBialgebra is immutable")
@@ -153,15 +155,22 @@ class WeakBialgebra:
                         cols[j][k] = cols[j].get(k, 0) + c * v
         return Matrix.from_int_cols(self.field, cols, sx * sm, n)
 
+    def eps_pair_ints(self) -> tuple:
+        """(e, scale) with e[j][k] / scale = eps(b_j b_k), lifted on first use and kept."""
+        if self._eps_table is None:
+            mnz, sm, _, _ = self.alg.ints()
+            _, _, eps, se = self.coa.ints()
+            e = tuple(map(tuple, _eps_pairs(mnz, eps)))
+            object.__setattr__(self, "_eps_table", (e, sm * se))
+        return self._eps_table
+
     def comodule_ints(self):
         """(L, R, sp, Y, sy), the tables of the comodule kernels, lifted on first
         use and kept: L[j][i] / sp = eps(eps_s'(b_j) b_i), R[j][i] / sp =
         eps(b_i eps_s(b_j)), and Y holds per H_s basis vector y the int rows
         (eps(y b_j))_j and (eps(b_j y))_j at scale sy."""
         if self._comodule_ints is None:
-            mnz, sm, _, _ = self.alg.ints()
-            _, _, eps, se = self.coa.ints()
-            e = _eps_pairs(mnz, eps)
+            e, se = self.eps_pair_ints()
             et = tuple(zip(*e))
             (lc, sl), (rc, sr) = self.eps_s_prime.col_ints(), self.eps_s.col_ints()
             left = tuple([_rows_sum([(c, v * sr) for c, v in col], e) for col in lc])
@@ -169,7 +178,7 @@ class WeakBialgebra:
             ys, sy = self.hs.ints()
             terms = [[(k, v) for k, v in enumerate(y) if v] for y in ys]
             rows = tuple([(_rows_sum(t, e), _rows_sum(t, et)) for t in terms])
-            tables = (left, right, sl * sr * sm * se, rows, sy * sm * se)
+            tables = (left, right, sl * sr * se, rows, sy * se)
             object.__setattr__(self, "_comodule_ints", tables)
         return self._comodule_ints
 
@@ -177,36 +186,16 @@ class WeakBialgebra:
         verdict = verify_antipode(self, s)
         if not verdict.ok:
             raise AxiomViolation(verdict, "antipode verification")
-        return WeakBialgebra(
-            self.alg,
-            self.coa,
-            {
-                "t": self.eps_t,
-                "s": self.eps_s,
-                "t'": self.eps_t_prime,
-                "s'": self.eps_s_prime,
-            },
-            self.ht,
-            self.hs,
-            antipode=s,
-            blocks=self.blocks,
-        )
+        return self._with(antipode=s)
 
     def with_blocks(self, blocks) -> "WeakBialgebra":
-        return WeakBialgebra(
-            self.alg,
-            self.coa,
-            {
-                "t": self.eps_t,
-                "s": self.eps_s,
-                "t'": self.eps_t_prime,
-                "s'": self.eps_s_prime,
-            },
-            self.ht,
-            self.hs,
-            antipode=self.antipode,
-            blocks=blocks,
-        )
+        return self._with(blocks=blocks)
+
+    def _with(self, **changes) -> "WeakBialgebra":
+        """A new instance with the same structure and the antipode or blocks replaced."""
+        eps = {"t": self.eps_t, "s": self.eps_s, "t'": self.eps_t_prime, "s'": self.eps_s_prime}
+        kept = {"antipode": self.antipode, "blocks": self.blocks}
+        return WeakBialgebra(self.alg, self.coa, eps, self.ht, self.hs, **{**kept, **changes})
 
     def same_tensors(self, other: "WeakBialgebra") -> bool:
         return self.alg == other.alg and self.coa == other.coa

@@ -156,6 +156,25 @@ def actions(h, c):
     return tuple(left), tuple(right)
 
 
+def truncation(left, right):
+    """The matrix of E(m (x) n) = m_(0) (x) n_(0) eps(m_(1) n_(1)) on the plain
+    tensor product of left and right."""
+    h = left.over
+    e = eps_pair_table(h)
+    m, p = left.dim, right.dim
+    left_nz = coaction_nonzeros(h, m, left.coaction)
+    right_nz = coaction_nonzeros(h, p, right.coaction)
+    cols = []
+    for a in range(m):
+        for b in range(p):
+            col = [h.field.zero] * (m * p)
+            for (a2, j), c1 in left_nz[a]:
+                for (b2, k), c2 in right_nz[b]:
+                    col[a2 * p + b2] = col[a2 * p + b2] + c1 * c2 * e[j][k]
+            cols.append(col)
+    return Matrix.from_cols(h.field, cols, rows=m * p)
+
+
 def tensor_data(left, right):
     """(relator basis, reps, projection, section, coaction) of left (x)_{H_s} right.
 

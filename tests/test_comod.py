@@ -31,6 +31,7 @@ from weakhopf.comod import (
     unit_comodule,
     unitors,
 )
+from weakhopf.weakbia import build_weak_bialgebra, lemma_suite, verify_antipode
 
 
 def e(n, i):
@@ -542,3 +543,20 @@ def test_monoidal_structure_matches_dense_construction(h):
     id_un = ComoduleMap.identity(un)
     for f, g in ((homs[0], homs[-1]), (homs[-1], id_un), (id_un, homs[0])):
         assert repr(tensor_map(f, g).matrix) == repr(_dense_tensor_map(h, f, g))
+
+
+def test_comodule_tables_are_built_with_the_first_comodule():
+    """Building gpd2, its lemma suite and its antipode check build neither the
+    comodule tables nor the eps(b_j b_k) table; the first comodule builds both,
+    and a comodule's action tensors wait for their first read."""
+    g = preset("gpd2")
+    h = build_weak_bialgebra(g.alg, g.coa)
+    assert lemma_suite(h).ok
+    assert verify_antipode(h, g.antipode).ok
+    for w in (g, h):
+        assert w._comodule_ints is None and w._eps_table is None
+    reg = regular_comodule(h)
+    assert h._comodule_ints is not None and h._eps_table is not None
+    assert reg._acts is None
+    t = tensor_over_source(reg, reg)
+    assert reg._acts is None and t._acts is None and not t._views

@@ -2,8 +2,11 @@
 
 Every verdict is compared by `repr` (law, witness, sides and scalar types)
 with `comod_reference`, and every matrix a kernel builds by `==` and `repr`,
-on natural and unimodular-scrambled bases of gpd2, gpd3, C3, c2 and `sum`
-over Q, GF(2), GF(3), GF(5) and GF(1009).  Forged inputs break each law.
+on natural and unimodular-scrambled bases of k, c2, gpd2, gpd3, `sum` and
+z3gf2 (the group algebra of Z/3) over Q, GF(2), GF(3), GF(5) and GF(1009).
+Forged inputs break each law.  Tensor products over H_s are also checked
+against the truncation idempotent E: E^2 = E and the relators span the
+image of 1 - E.
 
 With verified objects two families of laws cannot fail: 2.5(3)(iii) follows
 from coassociativity and the counit law (Lemma 2.5(3)), and the bimodule-map
@@ -32,17 +35,16 @@ from weakhopf.comod import (
 )
 from weakhopf.decomp import direct_sum
 from weakhopf.errors import AxiomViolation, Verdict, Violation
-from weakhopf.exactla import GF, QQ, Matrix, inverse, vec_unit
+from weakhopf.exactla import GF, QQ, Matrix, column_space, inverse, rank, vec_unit
 from weakhopf.fixtures import (
-    cyclic_group_table,
     enumerate_automorphisms,
-    group_algebra,
     groupoid_algebra,
     indiscrete_groupoid,
     preset,
 )
 from weakhopf.tannaka import (
     FunctorData,
+    comonoidal_structure,
     WeakBialgebraMap,
     functor_from_map,
     induced_coaction,
@@ -58,11 +60,11 @@ IDS = [str(f) for f in FIELDS]
 def corpus(field):
     """(name, h, base) for the fixtures (base None) and their scrambled copies
     (base the natural-basis fixture and the columns of the new basis)."""
-    labels, table = cyclic_group_table(3)
     natural = {
+        "k": preset("k", field),
         "gpd2": preset("gpd2", field),
         "gpd3": groupoid_algebra(indiscrete_groupoid(3), field),
-        "C3": group_algebra(labels, table, field),
+        "z3gf2": preset("z3@gf2", field),
         "c2": preset("c2", field),
         "sum": preset("sum", field),
     }
@@ -165,12 +167,11 @@ def test_coaction_verdicts_and_action_tensors(field):
 def test_tensor_products_match_reference(field):
     for _, h, _ in CORPUS[field]:
         reg, un = regular_comodule(h), unit_comodule(h)
-        pairs = [(un, reg), (reg, un), (un, un)]
-        if h.dim <= 6:
-            ru = tensor_over_source(reg, un)
-            pairs += [(ru, un), (un, ru)]
+        zero = Comodule(h, 0, Matrix.zeros(field, 0, 0))
+        objs = [reg, un, tensor_over_source(reg, un), tensor_over_source(un, reg), zero]
+        pairs = [(a, b) for a in objs for b in objs if a.dim * b.dim <= 36]
         if h.dim <= 4:
-            pairs.append((reg, reg))
+            pairs.append((tensor_over_source(reg, un), reg))
         for a, b in pairs:
             t = tensor_over_source(a, b)
             basis, reps, projection, section, coaction = ref.tensor_data(a, b)
@@ -180,6 +181,9 @@ def test_tensor_products_match_reference(field):
             _same(t.section, section)
             _same(t.coaction, coaction)
             _same((t.left_act, t.right_act), ref.actions(h, t))
+            trunc = ref.truncation(a, b)
+            assert trunc.mul(trunc) == trunc
+            assert column_space(Matrix.identity(field, trunc.rows).sub(trunc)) == t.relators
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
@@ -246,6 +250,14 @@ def test_map_verdicts_and_induced_coactions_match_reference(field):
         bmap = WeakBialgebraMap(h, k, phi)
         for m in comodules(h)[:3]:
             _same(induced_coaction(phi, m, k), ref.induced_coaction(phi, m, k))
+            # iota against the field path: projection after section, and its rank
+            for m2 in comodules(h)[1:3]:
+                iota = comonoidal_structure(bmap, m, m2)
+                t_h, t_k = tensor_over_source(m, m2), iota.target
+                want = t_k.projection.mul(t_h.section)
+                _same(iota.matrix, want)
+                r = rank(want)
+                assert (iota.surjective, iota.bijective) == (r == t_k.dim, r == t_k.dim == t_h.dim)
         forged = _bumped(phi, rng, 3) + [Matrix.zeros(field, k.dim, h.dim)]
         if field.characteristic != 2:
             forged.append(phi.scale(field.of(2)))

@@ -13,12 +13,13 @@ from weakhopf.exactla import (
     Matrix,
     Mod,
     Subspace,
+    _int_quotient,
     _is_prime,
+    _row_ints,
     intersect,
     inverse,
     kernel_basis,
     parse_field_name,
-    quotient_basis,
     rank,
     rref,
     solve,
@@ -119,6 +120,19 @@ def test_solve_no_solution():
 def test_solve_dimension_mismatch():
     with pytest.raises(MalformedInput):
         solve(Matrix(QQ, [[1]]), Matrix(QQ, [[1], [2]]))
+
+
+def quotient_basis(ambient_dim, relators):
+    """(reps, projection, section) of k^ambient_dim modulo the relators, the
+    field matrices of `_int_quotient` as `TensorComodule` reads them."""
+    field = relators.field
+    rows = _row_ints(Matrix(field, relators.basis, cols=ambient_dim))
+    pivot_rows, reps, proj, scale = _int_quotient(field.characteristic, ambient_dim, rows)
+    assert Subspace._reduced(field, ambient_dim, pivot_rows) == relators
+    sect = [()] * ambient_dim
+    for i, f in enumerate(reps):
+        sect[f] = ((i, field.one),)
+    return reps, Matrix.from_int_cols(field, proj, scale, len(reps)), Matrix._sparse(field, tuple(sect), len(reps))
 
 
 def test_quotient_trivial_relators():

@@ -2,8 +2,8 @@
 
 The reference is `dense_matrix.DenseMatrix` and its functions, the earlier
 dense `Matrix`, `rref`, `kernel_basis`, `solve`, `inverse` and
-`quotient_basis`.  On seeded random matrices over Q, GF(2), GF(5) and
-GF(1009), with empty shapes, identities, zero and low-rank matrices among
+`quotient_basis` (compared with the field views of `_int_quotient`).  On
+seeded random matrices over Q, GF(2), GF(5) and GF(1009), with empty shapes, identities, zero and low-rank matrices among
 them, every result must print the same (`repr` shows each entry), and
 `==` and `hash` must agree with the dense rows.
 """
@@ -19,6 +19,7 @@ from dense_matrix import kernel_basis as dense_kernel_basis
 from dense_matrix import quotient_basis as dense_quotient_basis
 from dense_matrix import rref as dense_rref
 from dense_matrix import solve as dense_solve
+from test_exactla import quotient_basis
 from weakhopf.exactla import (
     GF,
     QQ,
@@ -28,7 +29,6 @@ from weakhopf.exactla import (
     inverse,
     kernel_basis,
     kernel_space,
-    quotient_basis,
     rref,
     solve,
 )
