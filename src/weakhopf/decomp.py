@@ -31,6 +31,7 @@ from .exactla import (
     column_space,
     ints_differ,
     ints_to_field,
+    ints_rank,
     intersect,
     inverse,
     lift_to_ints,
@@ -49,7 +50,7 @@ from .structure import (
     center,
 )
 from .poly import _coprime_split, _poly_divmod, _poly_extended_gcd, _poly_mul
-from .weakbia import WeakBialgebra, _dense, build_weak_bialgebra, verify_antipode
+from .weakbia import WeakBialgebra, _dense, build_weak_bialgebra
 from .comod import Comodule
 
 CERT_INDECOMPOSABLE = "indecomposable"
@@ -188,10 +189,10 @@ def direct_sum(*summands: WeakBialgebra) -> WeakBialgebra:
     if h.ht != ht_expected or h.hs != hs_expected:
         raise InternalInconsistency("direct-sum counital subalgebras are not the sums")
     if all(s.antipode is not None for s in summands):
-        s_mat = _block_diag_matrix(field, [s.antipode for s in summands])
-        if not verify_antipode(h, s_mat).ok:
+        try:
+            h = h.with_antipode(_block_diag_matrix(field, [s.antipode for s in summands]))
+        except AxiomViolation:
             raise InternalInconsistency("direct-sum antipode failed verification")
-        h = h.with_antipode(s_mat)
     return h.with_blocks(
         BlockData(tuple(summands), tuple(embeds), tuple(projs), tuple(idems))
     )
@@ -335,30 +336,25 @@ def _restrict_block(h: WeakBialgebra, e):
         flat = _comul(dnz, x)
         first = [_coords(space, flat[k::n], leak) for k in range(n)]
         comult.append([_coords(space, row, leak) for row in zip(*first)])
-    unit_coords = space.coords_of(e)
-    if unit_coords is None:
-        raise InternalInconsistency("block idempotent escaped its own block")
+    eu, su = lift_to_ints(field, e)
+    unit = ints_to_field(field, _coords(space, eu, "block idempotent escaped its own block"), su)
     counit = ints_to_field(field, [sum(map(mul, eps, x)) for x in vs], sv * se)
-    alg = FiniteAlgebra(field, labels, ints_to_field(field, mult, sv * sv * sm), unit_coords)
+    alg = FiniteAlgebra(field, labels, ints_to_field(field, mult, sv * sv * sm), unit)
     coa = FiniteCoalgebra(field, labels, ints_to_field(field, comult, sv * sd), counit)
     try:
         block = build_weak_bialgebra(alg, coa)
     except AxiomViolation as exc:
         raise InternalInconsistency(f"restricted block failed the axioms: {exc}")
     if h.antipode is not None:
-        cols = []
-        inside = True
-        for v in space.basis:
-            img = h.antipode.apply(v)
-            coords = space.coords_of(img)
-            if coords is None:
-                inside = False
-                break
-            cols.append(coords)
-        if inside:
-            s_block = Matrix.from_cols(field, cols, rows=d)
-            if verify_antipode(block, s_block).ok:
-                block = block.with_antipode(s_block)
+        # S restricted to eH, kept only if it maps eH into itself and passes (WH4) there
+        scol, ss = h.antipode.col_ints()
+        images = [_apply(scol, enumerate(v), n) for v in vs]
+        if all(map(space.contains_ints, images)):
+            cols = [dict(enumerate([x[c] for c in space.pivots])) for x in images]
+            try:
+                block = block.with_antipode(Matrix.from_int_cols(field, cols, ss * sv, d))
+            except AxiomViolation:
+                pass
     return block, emb, proj
 
 
@@ -394,38 +390,51 @@ def split_by_idempotent(h: WeakBialgebra, e) -> tuple[WeakBialgebra, WeakBialgeb
         )
     block_a, emb_a, _ = _restrict_block(h, e)
     block_b, emb_b, _ = _restrict_block(h, comp)
-    rebuilt = direct_sum(block_a, block_b)
-    big = Matrix.from_cols(
-        field, emb_a.column_list() + emb_b.column_list(), rows=h.dim
-    )
-    _verify_reassembly(h, rebuilt, big)
+    big = Matrix.from_cols(field, emb_a.column_list() + emb_b.column_list(), rows=h.dim)
+    _verify_reassembly(h, (block_a, block_b), big)
     return block_a, block_b
 
 
-def _verify_reassembly(h: WeakBialgebra, rebuilt: WeakBialgebra, change: Matrix):
-    """The block-diagonal rebuild must match h's tensors in block coordinates (on lifted ints)."""
-    inv = inverse(change)
-    if inv is None:
-        raise InternalInconsistency("block bases do not span")
+def _verify_reassembly(h: WeakBialgebra, blocks, change: Matrix):
+    """h's tensors carried along the block basis `change` must be the block-diagonal
+    tables of the blocks' int lifts, brought to one scale each: multiplication,
+    comultiplication, unit and counit.  No direct sum is built."""
     n = h.dim
     p = h.field.characteristic
-    mnz, sm, _, _ = h.alg.ints()
-    dnz, sd, eps, se = h.coa.ints()
-    rmnz, srm, _, _ = rebuilt.alg.ints()
-    rdnz, srd, reps, sre = rebuilt.coa.ints()
     cols, sc = change.col_ints()
-    inv_cols, si = inv.col_ints()
     dense = [_dense(col, n) for col in cols]
+    if ints_rank(p, dense) != n:
+        raise InternalInconsistency("block bases do not span")
+    algs = [b.alg.ints() for b in blocks]
+    coas = [b.coa.ints() for b in blocks]
+    srm, sru = lcm(*[a[1] for a in algs]), lcm(*[a[3] for a in algs])
+    srd, sre = lcm(*[c[1] for c in coas]), lcm(*[c[3] for c in coas])
+    rmnz = [[()] * n for _ in range(n)]
+    rdelta, runit, reps = [], [], []
+    off = 0
+    for (bm, bsm, bu, bsu), (bd, bsd, be, bse) in zip(algs, coas):
+        for i, row in enumerate(bm):
+            for j, terms in enumerate(row):
+                rmnz[off + i][off + j] = [(off + k, c * (srm // bsm)) for k, c in terms]
+            u = [0] * (n * n)
+            for a, b, x in bd[i]:
+                u[(off + a) * n + off + b] = x * (srd // bsd)
+            rdelta.append(u)
+        runit += [x * (sru // bsu) for x in bu]
+        reps += [x * (sre // bse) for x in be]
+        off += len(bu)
+    mnz, sm, unit, su = h.alg.ints()
+    dnz, sd, eps, se = h.coa.ints()
     for i in range(n):
         for j in range(n):
-            got = _apply(inv_cols, enumerate(_mul(mnz, dense[i], dense[j])), n)
-            if ints_differ(p, got, sc * sc * sm * si, _dense(rmnz[i][j], n), srm):
+            got = _mul(mnz, dense[i], dense[j])
+            if ints_differ(p, got, sc * sc * sm, _apply(cols, rmnz[i][j], n), sc * srm):
                 raise InternalInconsistency("reassembled multiplication differs")
     for i in range(n):
-        pulled = _tensor_image(_comul(dnz, dense[i]), inv_cols, inv_cols)
-        if _sides_differ(p, pulled, sc * sd * si * si, {(a, b): d for a, b, d in rdnz[i]}, srd):
+        got = {divmod(idx, n): x for idx, x in enumerate(_comul(dnz, dense[i])) if x}
+        if _sides_differ(p, got, sc * sd, _tensor_image(rdelta[i], cols, cols), sc * sc * srd):
             raise InternalInconsistency("reassembled comultiplication differs")
-    if inv.apply(h.unit) != rebuilt.unit:
+    if ints_differ(p, unit, su, _apply(cols, enumerate(runit), n), sc * sru):
         raise InternalInconsistency("reassembled unit differs")
     if ints_differ(p, [sum([eps[r] * x for r, x in col]) for col in cols], sc * se, reps, sre):
         raise InternalInconsistency("reassembled counit differs")
@@ -489,11 +498,7 @@ def decompose(h: WeakBialgebra) -> DecompositionReport:
         classes.setdefault(find(k), []).append(k)
     ordered = [classes[key] for key in sorted(classes)]
 
-    idems = []
-    blocks = []
-    embeds = []
-    projs = []
-    certs = []
+    idems, blocks, embeds, projs, certs = [], [], [], [], []
     for members in ordered:
         e = tuple([sum(xs, field.zero) for xs in zip(*[prims[k] for k in members])])
         if h.multiply(e, e) != e:
@@ -514,15 +519,9 @@ def decompose(h: WeakBialgebra) -> DecompositionReport:
         for j in range(len(idems)):
             if i != j and any(h.multiply(idems[i], idems[j])):
                 raise InternalInconsistency("block idempotents are not orthogonal")
-    if len(blocks) == 1:
-        big = embeds[0]
-    else:
-        cols = []
-        for emb in embeds:
-            cols.extend(emb.column_list())
-        big = Matrix.from_cols(field, cols, rows=h.dim)
-        rebuilt = direct_sum(*blocks)
-        _verify_reassembly(h, rebuilt, big)
+    if len(blocks) > 1:
+        cols = [c for emb in embeds for c in emb.column_list()]
+        _verify_reassembly(h, blocks, Matrix.from_cols(field, cols, rows=h.dim))
     return DecompositionReport(
         h, tuple(idems), tuple(blocks), tuple(embeds), tuple(projs), tuple(certs)
     )
@@ -660,30 +659,29 @@ def split_comodule(h: WeakBialgebra, com: Comodule, blocks: BlockData | None = N
 
 
 def _verify_comodule_reassembly(h, com, data, pieces, spaces):
-    field = h.field
+    """rho_com change = (change (x) id) rho_G, column by column on lifted ints, where
+    change stacks the pieces' bases and rho_G is the coaction of G(pieces), the
+    pieces' coactions carried into H by the embeddings; G(pieces) is not built."""
     n = h.dim
-    change = Matrix.from_cols(field, [v for space in spaces for v in space.basis], rows=com.dim)
-    if inverse(change) is None:
+    p = h.field.characteristic
+    if ints_rank(p, [v for space in spaces for v in space.ints()[0]]) != com.dim:
         raise InternalInconsistency("piece bases do not span the comodule")
-    # the coaction of G(pieces), built on each piece's lift and brought to one scale
-    parts = []
-    off = 0
-    for piece, emb in zip(pieces, data.embeddings):
-        nz, s = piece.ints()
+    cnz, s = com.ints()
+    for piece, emb, space in zip(pieces, data.embeddings, spaces):
+        pnz, sp = piece.ints()
         ec, se = emb.col_ints()
-        cols = [{} for _ in nz]
-        for col, terms in zip(cols, nz):
+        vs, sv = space.ints()
+        for v, terms in zip(vs, pnz):
+            lhs = {}
+            for i, x in enumerate(v):
+                if x:
+                    for a, j, c in cnz[i]:
+                        lhs[a, j] = lhs.get((a, j), 0) + x * c
+            rhs = {}
             for a, r, c in terms:
-                for j, x in ec[r]:
-                    key = (off + a) * n + j
-                    col[key] = col.get(key, 0) + c * x
-        parts.append((cols, s * se))
-        off += piece.dim
-    scale = lcm(*[s for _, s in parts])
-    cols = [{k: x * (scale // s) for k, x in col.items()} for part, s in parts for col in part]
-    g_com = Comodule(h, off, Matrix.from_int_cols(field, cols, scale, off * n))
-    ident_n = Matrix.identity(field, n)
-    lhs = com.coaction.mul(change)
-    rhs = change.kron(ident_n).mul(g_com.coaction)
-    if lhs != rhs:
-        raise InternalInconsistency("comodule reassembly differs from the original")
+                for j, y in ec[r]:
+                    for b, z in enumerate(vs[a]):
+                        if z:
+                            rhs[b, j] = rhs.get((b, j), 0) + c * y * z
+            if _sides_differ(p, lhs, sv * s, rhs, sp * se * sv):
+                raise InternalInconsistency("comodule reassembly differs from the original")

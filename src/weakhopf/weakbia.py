@@ -512,10 +512,10 @@ def dualize(h: WeakBialgebra) -> WeakBialgebra:
     except AxiomViolation as exc:
         raise InternalInconsistency(f"dual of a valid weak bialgebra failed: {exc}")
     if h.antipode is not None:
-        st = h.antipode.transpose()
-        if not verify_antipode(out, st).ok:
+        try:
+            out = out.with_antipode(h.antipode.transpose())
+        except AxiomViolation:
             raise InternalInconsistency("transposed antipode failed on the dual")
-        out = out.with_antipode(st)
     return out
 
 

@@ -2,16 +2,19 @@ from fractions import Fraction
 
 import pytest
 
-from weakhopf.errors import MalformedInput, PreconditionError
+import weakhopf.decomp as decomp_module
+from weakhopf.errors import InternalInconsistency, MalformedInput, PreconditionError
 from weakhopf.exactla import QQ, GF, Matrix, Mod, Subspace
 from weakhopf.structure import FiniteAlgebra, FiniteCoalgebra
-from weakhopf.weakbia import build_weak_bialgebra
-from weakhopf.comod import regular_comodule, unit_comodule
+from weakhopf.weakbia import WeakBialgebra, build_weak_bialgebra, dualize
+from weakhopf.comod import Comodule, regular_comodule, unit_comodule
 from weakhopf.decomp import (
     CERT_INDECOMPOSABLE,
     CERT_UNDECIDED,
     LeftModule,
     _split_pieces,
+    _verify_comodule_reassembly,
+    _verify_reassembly,
     decompose,
     direct_sum,
     is_indecomposable,
@@ -22,6 +25,7 @@ from weakhopf.decomp import (
 )
 from weakhopf.fixtures import cyclic_group_table, group_algebra, preset
 from weakhopf.poly import _coprime_split, _find_roots, _poly_mul
+from test_axiom_kernels import rebased
 
 
 def test_direct_sum_dims_and_subalgebras(c2, gpd2, sum_wba):
@@ -271,3 +275,104 @@ def test_decompose_sum_over_gf5(c2):
     rep = decompose(direct_sum(a, b))
     assert rep.block_count == 2
     assert sorted(bl.dim for bl in rep.blocks) == [2, 4]
+
+
+# ---------------------------------------------------------------------------
+# the reassembly checks compare h with the pieces themselves, so a bad piece
+# is caught by the law it breaks
+
+
+def _block_change(rep):
+    """The block basis of a decomposition: its embeddings side by side."""
+    h = rep.weak_bialgebra
+    cols = [c for emb in rep.embeddings for c in emb.column_list()]
+    return Matrix.from_cols(h.field, cols, rows=h.dim)
+
+
+def _forged(block, alg=None, coa=None):
+    """block with its algebra or coalgebra replaced, past every check."""
+    eps = {"t": block.eps_t, "s": block.eps_s, "t'": block.eps_t_prime, "s'": block.eps_s_prime}
+    return WeakBialgebra(alg or block.alg, coa or block.coa, eps, block.ht, block.hs)
+
+
+def test_reassembly_accepts_the_blocks_of_decompose(sum_wba):
+    rep = decompose(sum_wba)
+    assert [b.dim for b in rep.blocks] == [4, 2]
+    _verify_reassembly(sum_wba, rep.blocks, _block_change(rep))
+
+
+def test_reassembly_catches_blocks_in_the_wrong_order(sum_wba):
+    rep = decompose(sum_wba)
+    with pytest.raises(InternalInconsistency, match="reassembled multiplication differs"):
+        _verify_reassembly(sum_wba, rep.blocks[::-1], _block_change(rep))
+
+
+def test_reassembly_catches_a_valid_block_of_another_structure(sum_wba, k):
+    rep = decompose(sum_wba)
+    gpd2_block, c2_block = rep.blocks
+    # the dual of gpd2 is commutative: another algebra on the same dimension
+    with pytest.raises(InternalInconsistency, match="reassembled multiplication differs"):
+        _verify_reassembly(sum_wba, (dualize(gpd2_block), c2_block), _block_change(rep))
+    # k + k in the basis 1, e_1 - e_2 has the algebra of Q[C2] and another coalgebra
+    alg, coa, _ = rebased(direct_sum(k, k), [(1, 1), (1, -1)])
+    kk = build_weak_bialgebra(alg, coa)
+    assert kk.alg.mult == c2_block.alg.mult and kk.alg.unit == c2_block.alg.unit
+    with pytest.raises(InternalInconsistency, match="reassembled comultiplication differs"):
+        _verify_reassembly(sum_wba, (gpd2_block, kk), _block_change(rep))
+
+
+def test_reassembly_catches_a_scaled_unit_or_counit(sum_wba):
+    rep = decompose(sum_wba)
+    gpd2_block, c2_block = rep.blocks
+    b = c2_block
+    alg = FiniteAlgebra(QQ, b.labels, b.mult, [2 * x for x in b.unit])
+    with pytest.raises(InternalInconsistency, match="reassembled unit differs"):
+        _verify_reassembly(sum_wba, (gpd2_block, _forged(b, alg=alg)), _block_change(rep))
+    coa = FiniteCoalgebra(QQ, b.labels, b.comult, [2 * x for x in b.counit])
+    with pytest.raises(InternalInconsistency, match="reassembled counit differs"):
+        _verify_reassembly(sum_wba, (gpd2_block, _forged(b, coa=coa)), _block_change(rep))
+
+
+def test_reassembly_catches_bases_that_do_not_span(sum_wba):
+    rep = decompose(sum_wba)
+    cols = rep.embeddings[0].column_list()
+    change = Matrix.from_cols(QQ, cols + cols[:2], rows=sum_wba.dim)
+    with pytest.raises(InternalInconsistency, match="block bases do not span"):
+        _verify_reassembly(sum_wba, rep.blocks, change)
+
+
+def test_comodule_reassembly_catches_a_piece_with_another_coaction(sum_wba):
+    reg = regular_comodule(sum_wba)
+    data = sum_wba.blocks
+    pieces = split_comodule(sum_wba, reg)
+    # in the natural basis the pieces of the regular comodule span the blocks
+    spaces = [Subspace(QQ, sum_wba.dim, emb.column_list()) for emb in data.embeddings]
+    _verify_comodule_reassembly(sum_wba, reg, data, pieces, spaces)
+    # C2 coacting trivially, m -> m (x) 1: a valid comodule of the same dimension
+    trivial = Comodule(data.summands[0], 2, Matrix(QQ, [[1, 0], [0, 0], [0, 1], [0, 0]], cols=2))
+    assert not trivial.same_structure(pieces[0])
+    with pytest.raises(InternalInconsistency, match="comodule reassembly differs"):
+        _verify_comodule_reassembly(sum_wba, reg, data, (trivial, pieces[1]), spaces)
+    with pytest.raises(InternalInconsistency, match="piece bases do not span"):
+        _verify_comodule_reassembly(sum_wba, reg, data, pieces, [spaces[0], spaces[0]])
+
+
+def test_decompose_builds_each_block_once_and_no_direct_sum(monkeypatch, c2, gpd2):
+    h = direct_sum(gpd2, gpd2, c2)
+    built = []
+    build = decomp_module.build_weak_bialgebra
+
+    def counting_build(alg, coa):
+        built.append(alg.dim)
+        return build(alg, coa)
+
+    def no_direct_sum(*summands):
+        raise AssertionError("direct_sum called")
+
+    monkeypatch.setattr(decomp_module, "build_weak_bialgebra", counting_build)
+    monkeypatch.setattr(decomp_module, "direct_sum", no_direct_sum)
+    rep = decompose(h)
+    assert sorted(b.dim for b in rep.blocks) == sorted(built) == [2, 4, 4]
+    built.clear()
+    split_by_idempotent(h, rep.block_idempotents[0])
+    assert len(built) == 2
