@@ -228,13 +228,13 @@ def cmd_reconstruct(args) -> int:
         h, h_comods = _load_wba(args.source)
         k, _ = _load_wba(args.target)
         fd = functor_from_document(parse_text(_read_file(args.functor)), h, h_comods, k)
+        result = tannaka.reconstruct_weak_bialgebra_map(fd)
     except MalformedInput as exc:
         report.add_error("malformed", str(exc))
         return _finish_report(report, args)
     except AxiomViolation as exc:
         report.add_check(_axiom_check_name(exc), exc.verdict)
         return _finish_report(report, args)
-    result = tannaka.reconstruct_weak_bialgebra_map(fd)
     for name, verdict in result.layers:
         report.add_check(name, verdict)
     report.derived["phi"] = matrix_strings(result.phi)

@@ -4,9 +4,10 @@ A comodule is a coaction matrix rho: M -> M (x) H with row-major tensor
 coordinates, the pair (a, j) at index a*n + j.  The tensor product of two
 comodules is taken over the source subalgebra H_s: the plain tensor product
 modulo the balancing relators (m.y) (x) n - m (x) (y.n), carried concretely as
-canonical quotient data (representative indices, projection, section).  Every
-constructed comodule re-verifies its own axioms; induced maps are verified to
-descend to the quotient before they are accepted.
+canonical quotient data (representative indices, projection, section).  A
+comodule built from a coaction matrix verifies its axioms; one derived from
+verified objects by a README proposition (`Comodule._derived`) does not.
+Induced maps are verified to descend to the quotient before they are accepted.
 
 Coactions, action tensors, relators and quotient data are sparse `Matrix`
 and `Subspace` objects.  Every law is decided on their int lifts, and field
@@ -113,16 +114,24 @@ class Comodule:
     __slots__ = ("over", "dim", "coaction", "_ints", "_acts", "_act_matrices")
 
     def __init__(self, over: WeakBialgebra, dim: int, coaction: Matrix):
-        nz, s = _coaction_ints(over, dim, coaction)
-        verdict = _coaction_nz_verdict(over, dim, nz, s)
+        self._attach(over, dim, coaction)
+        verdict = _coaction_nz_verdict(over, dim, *self._ints)
         if not verdict.ok:
             raise AxiomViolation(verdict, "comodule axioms")
-        object.__setattr__(self, "over", over)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "coaction", coaction)
-        object.__setattr__(self, "_ints", (nz, s))
-        object.__setattr__(self, "_acts", None)
-        object.__setattr__(self, "_act_matrices", None)
+
+    def _attach(self, over, dim, coaction, **slots):
+        slots.update(over=over, dim=dim, coaction=coaction, _ints=_coaction_ints(over, dim, coaction),
+                     _acts=None, _act_matrices=None)
+        for name, value in slots.items():
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _derived(cls, over: WeakBialgebra, dim: int, coaction: Matrix, **slots) -> "Comodule":
+        """A comodule whose axioms follow from those of the verified objects it is
+        made from (the README): its coaction is lifted and kept, not verified."""
+        c = object.__new__(cls)
+        c._attach(over, dim, coaction, **slots)
+        return c
 
     def __setattr__(self, name, val):
         raise AttributeError("Comodule is immutable")
@@ -344,10 +353,8 @@ class TensorComodule(Comodule):
         if left.over is not right.over:
             raise MalformedInput("tensor product across different weak bialgebras")
         h = left.over
-        n = h.dim
         char = h.field.characteristic
         m, p = left.dim, right.dim
-        amb = m * p
         (left_nz, sl), (right_nz, sr) = left.ints(), right.ints()
         e, se = h.eps_pair_ints()
         # the relator generators e_f - E(e_f), at scale sl * sr * se
@@ -361,44 +368,28 @@ class TensorComodule(Comodule):
                         if ej[k]:
                             w[a2 * p + b2] = w.get(a2 * p + b2, 0) - c1 * c2 * ej[k]
                 gens.append(w)
-        rows, reps, proj, sp = _int_quotient(char, amb, gens)
-        t = len(reps)
-        mnz, sm, _, _ = h.alg.ints()
-
-        def big_coaction(vec):
-            """rho_{M (x) N} of the int vector with nonzeros vec, as {(pair, l): coef}
-            at sl * sr * sm times the vector's scale."""
-            out = {}
-            for ab, x in vec:
-                a, b = divmod(ab, p)
-                for a2, j, c1 in left_nz[a]:
-                    xc1 = x * c1
-                    for b2, k, c2 in right_nz[b]:
-                        cc = xc1 * c2
-                        base = a2 * p + b2
-                        for l, mu in mnz[j][k]:
-                            key = (base, l)
-                            out[key] = out.get(key, 0) + cc * mu
-            return out
-
+        rows, reps, proj, sp = _int_quotient(char, m * p, gens)
+        mnz = h.alg.ints()[0]
         # descent: the coaction must map relators into relators (x) H
         for row in rows.values():
-            for (pair, l), coef in big_coaction(row.items()).items():
+            for (pair, l), coef in _diagonal_coaction(mnz, left_nz, right_nz, p, row.items()).items():
                 if proj[pair] and (coef % char if char else coef):
                     raise InternalInconsistency("tensor coaction does not descend to the quotient")
-        cols = [{} for _ in range(t)]
-        for q, f in enumerate(reps):
-            col = cols[q]
-            for (pair, l), coef in big_coaction([(f, 1)]).items():
-                for q2, pc in proj[pair].items():
-                    col[q2 * n + l] = col.get(q2 * n + l, 0) + pc * coef
-        coaction = Matrix.from_int_cols(h.field, cols, sp * sl * sr * sm, t * n)
-        object.__setattr__(self, "factors", (left, right))
-        object.__setattr__(self, "reps", reps)
-        object.__setattr__(self, "_relator_rows", rows)
-        object.__setattr__(self, "_proj", (proj, sp))
-        object.__setattr__(self, "_views", {})
-        super().__init__(h, t, coaction)
+        for name, value in (("factors", (left, right)), ("reps", reps), ("_relator_rows", rows),
+                            ("_proj", (proj, sp)), ("_views", {})):
+            object.__setattr__(self, name, value)
+        super().__init__(h, len(reps), _quotient_coaction(left, right, reps, proj, sp))
+
+    @staticmethod
+    def _over_target(t: "TensorComodule", left: Comodule, right: Comodule) -> "TensorComodule":
+        """M^phi(a) (x)_{K_s} M^phi(b) for t = a (x)_{H_s} b, left = M^phi(a) and right =
+        M^phi(b) over a verified map phi.  Both are one quotient of M (x) N (the README):
+        t's quotient data is shared, and the coaction, made from the legs of left and
+        right and K's multiplication, is projected by t's int columns, not verified."""
+        coaction = _quotient_coaction(left, right, t.reps, *t._proj)
+        return TensorComodule._derived(
+            left.over, t.dim, coaction, factors=(left, right), reps=t.reps,
+            _relator_rows=t._relator_rows, _proj=t._proj, _views={})
 
     def projection_ints(self) -> tuple:
         """(cols, scale): cols[f] is the {rep index: int} column of e_f in the projection, at scale."""
@@ -424,6 +415,37 @@ class TensorComodule(Comodule):
         """The coordinate injection of the quotient at `reps`, built on first read."""
         return self._view("section", lambda f, amb: Matrix.from_int_cols(
             f, [{r: 1} for r in self.reps], 1, amb))
+
+
+def _diagonal_coaction(mnz, left_nz, right_nz, p: int, vec) -> dict:
+    """rho_{M (x) N} of the int vector with nonzeros vec, as {(pair, l): coef}, from the
+    lifted legs of M and N (dim N = p) and multiplication mnz, at the product of their scales."""
+    out = {}
+    for ab, x in vec:
+        a, b = divmod(ab, p)
+        for a2, j, c1 in left_nz[a]:
+            xc1 = x * c1
+            for b2, k, c2 in right_nz[b]:
+                cc = xc1 * c2
+                base = a2 * p + b2
+                for l, mu in mnz[j][k]:
+                    key = (base, l)
+                    out[key] = out.get(key, 0) + cc * mu
+    return out
+
+
+def _quotient_coaction(left: Comodule, right: Comodule, reps, proj, sp: int) -> Matrix:
+    """The coaction of (left (x) right) / relators at the representatives reps: the
+    diagonal coaction of each rep, projected by the int columns proj at scale sp."""
+    h, n = left.over, left.over.dim
+    (left_nz, sl), (right_nz, sr) = left.ints(), right.ints()
+    mnz, sm, _, _ = h.alg.ints()
+    cols = [{} for _ in reps]
+    for col, f in zip(cols, reps):
+        for (pair, l), coef in _diagonal_coaction(mnz, left_nz, right_nz, right.dim, [(f, 1)]).items():
+            for q2, pc in proj[pair].items():
+                col[q2 * n + l] = col.get(q2 * n + l, 0) + pc * coef
+    return Matrix.from_int_cols(h.field, cols, sp * sl * sr * sm, len(reps) * n)
 
 
 def tensor_over_source(a: Comodule, b: Comodule) -> TensorComodule:

@@ -25,16 +25,15 @@ from .errors import (
     Verdict,
     Violation,
 )
-from .exactla import Matrix, _int_echelon, ints_differ, ints_to_field, inverse
+from .exactla import Matrix, ints_differ, ints_to_field, inverse
 from .comod import (
     Comodule,
     ComoduleMap,
     TensorComodule,
     coaction_verdict,
-    comodule_map_verdict,
     tensor_over_source,
 )
-from .structure import _apply, _comul, _mul, law_violations
+from .structure import _apply, _comul, _dict_violation, _mul, _sides_differ, law_violations
 from .weakbia import WeakBialgebra, _dense
 
 RECONSTRUCTION_LAYERS = (
@@ -52,7 +51,7 @@ RECONSTRUCTION_LAYERS = (
 class WeakBialgebraMap:
     """A verified map of weak bialgebras (algebra map and coalgebra map)."""
 
-    __slots__ = ("source", "target", "matrix", "_phi_s_bijective", "_induced")
+    __slots__ = ("source", "target", "matrix", "_phi_s_bijective", "_eps_pairs_agree", "_induced")
 
     def __init__(self, source: WeakBialgebra, target: WeakBialgebra, matrix: Matrix):
         verdict = map_verdict(matrix, source, target)
@@ -62,6 +61,7 @@ class WeakBialgebraMap:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_phi_s_bijective", None)
+        object.__setattr__(self, "_eps_pairs_agree", None)
         object.__setattr__(self, "_induced", {})
 
     def __setattr__(self, name, val):
@@ -83,6 +83,19 @@ class WeakBialgebraMap:
             bij = inverse(self.source_restriction()) is not None
             object.__setattr__(self, "_phi_s_bijective", bij)
         return self._phi_s_bijective
+
+    def _require_eps_pairs(self) -> None:
+        """Raise unless eps_K(phi b_j . phi b_k) = eps_H(b_j b_k) for all j, k, under
+        which M^phi (x)_{K_s} N^phi and M (x)_{H_s} N are one quotient; decided on first use."""
+        if self._eps_pairs_agree is None:
+            (e, se), (ek, sk) = self.source.eps_pair_ints(), self.target.eps_pair_ints()
+            cols, sp = self.matrix.col_ints()
+            u = [[sum([x * ek[a][b] for a, x in col]) for b in range(self.target.dim)] for col in cols]
+            lhs = [sum([uj[b] * y for b, y in col]) for uj in u for col in cols]  # eps_K(phi b_j . phi b_k)
+            differ = ints_differ(self.source.field.characteristic, lhs, sk * sp * sp, sum(e, ()), se)
+            object.__setattr__(self, "_eps_pairs_agree", not differ)
+        if not self._eps_pairs_agree:
+            raise InternalInconsistency("eps_K(phi x . phi y) != eps_H(x y) for a weak bialgebra map")
 
     def induced(self, m: Comodule) -> Comodule:
         """M^phi(m), built on the first request for m and kept on this map."""
@@ -107,10 +120,18 @@ def map_verdict(phi: Matrix, source: WeakBialgebra, target: WeakBialgebra) -> Ve
     violations += _coalgebra_map_violations(phi, source, target)
     subalgebras = (("phi(H_s) in K_s", source.hs, target.hs), ("phi(H_t) in K_t", source.ht, target.ht))
     for law, sub, sub_k in subalgebras:
-        for r, y in enumerate(sub.basis):
-            if not sub_k.contains(phi.apply(y)):
-                violations.append(Violation(law, (r,), phi.apply(y), None))
+        imgs, scale = _images(phi, sub, target.dim)
+        for r, img in enumerate(imgs):
+            if not sub_k.contains_ints(img):
+                violations.append(Violation(law, (r,), ints_to_field(source.field, img, scale), None))
     return Verdict(tuple(violations))
+
+
+def _images(phi: Matrix, sub, rows: int) -> list:
+    """(imgs, scale): phi(y) = img / scale for each echelon basis vector y of the subspace sub."""
+    cols, sp = phi.col_ints()
+    ys, sy = sub.ints()
+    return [tuple(_apply(cols, enumerate(y), rows)) for y in ys], sy * sp
 
 
 def _algebra_map_violations(phi, source, target):
@@ -174,10 +195,15 @@ def induced_coaction(phi: Matrix, m: Comodule, target: WeakBialgebra) -> Matrix:
 
 
 def induced_functor(phi: WeakBialgebraMap, m: Comodule) -> Comodule:
-    """The comodule M^phi(m) = (M, (id (x) phi) . rho_M) over the target."""
+    """The comodule M^phi(m) = (M, (id (x) phi) . rho_M) over the target.
+
+    Its axioms follow from m's over the verified phi, so they are not re-run
+    (the README): coassociativity from Delta phi = (phi (x) phi) Delta, the
+    counit law from eps_K phi = eps_H, 2.5(3)(iii) as phi commutes with eps_s, eps_s'.
+    """
     if m.over is not phi.source:
         raise MalformedInput("comodule is not over the map's source")
-    return Comodule(phi.target, m.dim, induced_coaction(phi.matrix, m, phi.target))
+    return Comodule._derived(phi.target, m.dim, induced_coaction(phi.matrix, m, phi.target))
 
 
 def induced_map(phi: WeakBialgebraMap, f):
@@ -187,14 +213,14 @@ def induced_map(phi: WeakBialgebraMap, f):
 
 def _phi_s_matrix(phi: Matrix, source: WeakBialgebra, target: WeakBialgebra) -> Matrix:
     """phi restricted to H_s -> K_s in the canonical echelon bases, or raise."""
+    hs = target.hs
+    imgs, scale = _images(phi, source.hs, target.dim)
     cols = []
-    for y in source.hs.basis:
-        img = phi.apply(y)
-        coords = target.hs.coords_of(img)
-        if coords is None:
-            raise PhiSEscape(img)
-        cols.append(coords)
-    return Matrix.from_cols(source.field, cols, rows=target.hs.dim)
+    for img in imgs:
+        if not hs.contains_ints(img):
+            raise PhiSEscape(ints_to_field(source.field, img, scale))
+        cols.append({c: img[piv] for c, piv in enumerate(hs.pivots)})  # coordinates sit at the pivots
+    return Matrix.from_int_cols(source.field, cols, scale, hs.dim)
 
 
 class PhiSEscape(Exception):
@@ -227,11 +253,12 @@ def comonoidal_structure(
 ) -> IotaResult:
     """iota_{a,b}: M^phi(a (x)_{H_s} b) -> M^phi(a) (x)_{K_s} M^phi(b).
 
-    The map is induced by the identity of the plain tensor product; it is
-    always surjective, and bijective whenever phi restricted to the source
-    subalgebras is bijective.  M^phi(a) and M^phi(b) are built once per map
-    (`WeakBialgebraMap.induced`); induced comodules a caller passes as a_k
-    and b_k must have exactly their structure.
+    Both sides are one quotient of a (x) b (the README), so iota is the identity
+    on the representatives, always bijective, and the verdict compares the
+    target side's coaction, column by column, with (id (x) phi) of the source
+    one's.  M^phi(a) and M^phi(b) are built once per map
+    (`WeakBialgebraMap.induced`); induced comodules a caller passes as a_k and
+    b_k must have exactly their structure.
     """
     if a.over is not phi.source or b.over is not phi.source:
         raise MalformedInput("comodules are not over the map's source")
@@ -239,23 +266,19 @@ def comonoidal_structure(
     for m_k, want in zip((a_k, b_k), induced):
         if m_k is not None and m_k is not want and not m_k.same_structure(want):
             raise MalformedInput("comodule is not the induced comodule over the map's target")
+    phi._require_eps_pairs()
     t_h = tensor_over_source(a, b)
-    t_k = tensor_over_source(*induced)
+    t_k = TensorComodule._over_target(t_h, *induced)
     src = induced_functor(phi, t_h)
-    # projection after the coordinate injection section: the projection's columns at t_h.reps
-    proj, sp = t_k.projection_ints()
-    cols = [proj[f] for f in t_h.reps]
-    mat = Matrix.from_int_cols(phi.target.field, cols, sp, t_k.dim)
-    verdict = comodule_map_verdict(src, t_k, mat)
-    r = len(_int_echelon(phi.target.field.characteristic, cols))
-    surjective = r == t_k.dim
-    bijective = surjective and r == src.dim
-    phi_s_bijective = phi.phi_s_bijective()
-    if not surjective:
-        raise InternalInconsistency("iota failed to be surjective")
-    if phi_s_bijective and not bijective:
-        raise InternalInconsistency("phi_s bijective but iota is not")
-    return IotaResult(mat, src, t_k, verdict, surjective, bijective, phi_s_bijective)
+    field = phi.target.field
+    (tnz, st), (snz, ss) = t_k.ints(), src.ints()
+    violations = []
+    for i in range(t_h.dim):
+        lhs, rhs = [{(a2, j): c for a2, j, c in nz[i]} for nz in (tnz, snz)]
+        if _sides_differ(field.characteristic, lhs, st, rhs, ss):
+            violations.append(_dict_violation(field, "comodule map law", (i,), lhs, st, rhs, ss))
+    return IotaResult(Matrix.identity(field, t_h.dim), src, t_k, Verdict(tuple(violations)),
+                      True, True, phi.phi_s_bijective())
 
 
 class FunctorData:
@@ -437,18 +460,14 @@ def reconstruct_weak_bialgebra_map(fd: FunctorData) -> ReconstructionResult:
                     como_violations.append(
                         Violation("iota not a comodule map", (i, j), res.comodule_map_verdict.describe(), None)
                     )
-                if not res.bijective:
-                    como_violations.append(Violation("iota not bijective", (i, j), None, None))
     else:
         como_violations.append(
             Violation("skipped: earlier layer failed", (), None, None)
         )
     layers.append(("comonoidal-structure", Verdict(tuple(como_violations))))
 
-    result = ReconstructionResult(phi, tuple(layers))
-    if result.ok:
-        result = ReconstructionResult(phi, tuple(layers), bmap)
-    return result
+    ok = all(v.ok for _, v in layers)
+    return ReconstructionResult(phi, tuple(layers), bmap if ok else None)
 
 
 @dataclass(frozen=True)

@@ -385,6 +385,18 @@ def map_verdict(phi, source, target):
     return Verdict(tuple(violations))
 
 
+def phi_s_matrix(phi, source, target):
+    """phi restricted to H_s -> K_s in the echelon bases, or the first image outside K_s."""
+    cols = []
+    for y in source.hs.basis:
+        img = phi.apply(y)
+        coords = target.hs.coords_of(img)
+        if coords is None:
+            return img
+        cols.append(coords)
+    return Matrix.from_cols(source.field, cols, rows=target.hs.dim)
+
+
 def coalgebra_layer_phi(rho_reg, h, k):
     """phi = (eps (x) id) rho^F of the regular assignment."""
     n, nk, z = h.dim, k.dim, h.field.zero

@@ -35,7 +35,7 @@ from weakhopf.comod import (
 )
 from weakhopf.decomp import direct_sum
 from weakhopf.errors import AxiomViolation, Verdict, Violation
-from weakhopf.exactla import GF, QQ, Matrix, column_space, inverse, rank, vec_unit
+from weakhopf.exactla import GF, QQ, Matrix, column_space, inverse, vec_unit
 from weakhopf.fixtures import (
     enumerate_automorphisms,
     groupoid_algebra,
@@ -44,8 +44,10 @@ from weakhopf.fixtures import (
 )
 from weakhopf.tannaka import (
     FunctorData,
+    PhiSEscape,
     comonoidal_structure,
     WeakBialgebraMap,
+    _phi_s_matrix,
     functor_from_map,
     induced_coaction,
     map_verdict,
@@ -250,17 +252,12 @@ def test_map_verdicts_and_induced_coactions_match_reference(field):
         bmap = WeakBialgebraMap(h, k, phi)
         for m in comodules(h)[:3]:
             _same(induced_coaction(phi, m, k), ref.induced_coaction(phi, m, k))
-            # iota against the field path: projection after section, and its rank
-            for m2 in comodules(h)[1:3]:
-                iota = comonoidal_structure(bmap, m, m2)
-                t_h, t_k = tensor_over_source(m, m2), iota.target
-                want = t_k.projection.mul(t_h.section)
-                _same(iota.matrix, want)
-                r = rank(want)
-                assert (iota.surjective, iota.bijective) == (r == t_k.dim, r == t_k.dim == t_h.dim)
         forged = _bumped(phi, rng, 3) + [Matrix.zeros(field, k.dim, h.dim)]
         if field.characteristic != 2:
             forged.append(phi.scale(field.of(2)))
+        for bad in [phi] + forged:
+            # the unit morphism, or the image that escapes K_s
+            _same(_phi_s_or_escape(bad, h, k), ref.phi_s_matrix(bad, h, k))
         for bad in forged:
             got = map_verdict(bad, h, k)
             _same(got, ref.map_verdict(bad, h, k))
@@ -281,6 +278,35 @@ def test_map_verdicts_and_induced_coactions_match_reference(field):
         "phi(H_s) in K_s", "phi(H_t) in K_t", "assignment 0 invalid over target",
         "rho^F != (id (x) phi) rho", "Delta_K . phi != (phi (x) id) rho^F",
     }
+
+
+def _phi_s_or_escape(phi, h, k):
+    try:
+        return _phi_s_matrix(phi, h, k)
+    except PhiSEscape as exc:
+        return exc.img
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_target_tensor_product_is_the_source_quotient(field):
+    """iota reads M^phi(a) (x)_{K_s} M^phi(b) off a (x)_{H_s} b: it must be the tensor
+    product built and verified over the target, for every map and comodule pair;
+    the comodules `induced_functor` attaches unverified satisfy the axioms."""
+    for phi, h, k in _maps(field):
+        bmap = WeakBialgebraMap(h, k, phi)
+        comods = comodules(h)
+        for m in comods:
+            assert coaction_verdict(k, m.dim, bmap.induced(m).coaction).ok
+        for m in comods:
+            for m2 in comods:
+                iota = comonoidal_structure(bmap, m, m2)
+                t_k, want = iota.target, tensor_over_source(bmap.induced(m), bmap.induced(m2))
+                assert t_k.reps == want.reps
+                assert t_k.projection_ints() == want.projection_ints()
+                _same(t_k.coaction, want.coaction)
+                assert coaction_verdict(k, iota.source.dim, iota.source.coaction).ok
+                assert iota.comodule_map_verdict.ok
+                assert iota.matrix == Matrix.identity(field, want.dim) and iota.bijective
 
 
 def _ref_coalgebra_layers(fd):

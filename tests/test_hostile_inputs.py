@@ -2,9 +2,11 @@
 
 Every mutant of the golden documents k, c2, gpd2, sum and z3gf2 goes through
 `cli.main` for `decompose` and for `dsum` (the mutant as the first summand,
-k as the second).  Whatever the mutation, the command must answer with exit
-code 0 (pass), 1 (violation) or 2 (malformed input), print no traceback, and
-finish within PER_DOCUMENT_SECONDS.  The corpus also holds k + k in the basis
+k as the second), and every mutant of the functor documents swap_functor and
+corrupt_functor through `reconstruct` from gpd2 to gpd2.  Whatever the
+mutation, the command must answer with exit code 0 (pass), 1 (violation) or
+2 (malformed input), print no traceback, and finish within
+PER_DOCUMENT_SECONDS.  The corpus also holds k + k in the basis
 (1, 0), (10^30 + 57, 1), whose 31-digit constants once hung `decompose`.
 """
 
@@ -28,10 +30,13 @@ SEED = 20261020
 MUTANTS_PER_DOCUMENT = 30
 PER_DOCUMENT_SECONDS = 1.0
 SOURCES = ("k", "c2", "gpd2", "sum", "z3gf2")
+FUNCTORS = ("swap_functor", "corrupt_functor")
 ODD_FIELDS = ("GF(4)", "GF(1)", "GF(-3)", "GF(2)", "GF(1009)", "QQ", "", "R", "GF(" + "7" * 40 + ")")
 TENSORS = ("mult", "unit", "comult", "counit", "antipode")
 ODD_SCALARS = ("0", "2", "-1", str(10**30 + 57), "1/3", "-7/2", "1/0", "x", "0.5", "", 3, None, [], {})
 ODD_VALUES = (None, 0, -1, "1", [], {}, [[]], "wba/1", 10**30)
+FUNCTOR_KEYS = ("assignments", "unit_map")
+ODD_NAMES = ("regular*", "unit*unit*unit", "counit", "regular*regular", " unit ", "", "*")
 
 
 def _paths(node, path=()):
@@ -51,20 +56,24 @@ def _parent(doc, path):
     return doc
 
 
-def _mutate(rng, doc):
+def _mutate(rng, doc, keys=TENSORS):
     """One mutant of the parsed document doc, as text; most often one scalar
-    of a structure tensor is replaced, so that many mutants parse."""
+    under the top-level keys is replaced, so that many mutants parse.  A
+    functor document (no field) has a comodule name replaced instead of its field."""
     doc = copy.deepcopy(doc)
     kind = rng.choice((0, 1, 2, 3, 4, 4, 4, 5, 6))
     if kind == 6:
         text = json.dumps(doc)
         return text[:rng.randrange(len(text))]
     if kind == 5:
-        doc["field"] = rng.choice(ODD_FIELDS)
+        if "field" in doc:
+            doc["field"] = rng.choice(ODD_FIELDS)
+        else:
+            rng.choice(doc["assignments"])["comodule"] = rng.choice(ODD_NAMES)
         return json.dumps(doc)
     paths = [p for p in _paths(doc) if p]
     if kind == 4:
-        leaves = [p for p in paths if p[0] in TENSORS and isinstance(_parent(doc, p)[p[-1]], str)]
+        leaves = [p for p in paths if p[0] in keys and isinstance(_parent(doc, p)[p[-1]], str)]
         path = rng.choice(leaves)
         _parent(doc, path)[path[-1]] = rng.choice(ODD_SCALARS)
         return json.dumps(doc)
@@ -98,14 +107,31 @@ def corpus():
     return out
 
 
-@pytest.mark.parametrize("command", ["decompose", "dsum"])
+def functor_corpus():
+    """(name, text) of the functor documents, each followed by its mutants in a
+    seeded order; swap_functor also without its unit morphism and without its
+    regular assignment, which `reconstruct` once met with a traceback."""
+    rng = random.Random(SEED)
+    swap = json.loads((GOLDEN / "swap_functor.json").read_text(encoding="utf-8"))
+    out = [("swap_functor-unit_map", json.dumps({k: v for k, v in swap.items() if k != "unit_map"})),
+           ("swap_functor-regular", json.dumps({**swap, "assignments": swap["assignments"][1:]}))]
+    for source in FUNCTORS:
+        text = (GOLDEN / f"{source}.json").read_text(encoding="utf-8")
+        out.append((source, text))
+        out += [(f"{source}#{i}", _mutate(rng, json.loads(text), FUNCTOR_KEYS))
+                for i in range(MUTANTS_PER_DOCUMENT)]
+    return out
+
+
+@pytest.mark.parametrize("command", ["decompose", "dsum", "reconstruct"])
 def test_mutated_documents_keep_the_exit_code_contract(capsys, tmp_path, command):
-    k_path = str(GOLDEN / "k.wba.json")
+    k_path, gpd2_path = str(GOLDEN / "k.wba.json"), str(GOLDEN / "gpd2.wba.json")
     codes = set()
-    for name, text in corpus():
-        path = tmp_path / "mutant.wba.json"
+    for name, text in functor_corpus() if command == "reconstruct" else corpus():
+        path = tmp_path / "mutant.json"
         path.write_text(text, encoding="utf-8")
-        argv = [command, str(path)] + ([k_path] if command == "dsum" else [])
+        argv = {"decompose": [command, str(path)], "dsum": [command, str(path), k_path],
+                "reconstruct": [command, gpd2_path, gpd2_path, str(path)]}[command]
         start = time.perf_counter()
         code = main(argv)
         elapsed = time.perf_counter() - start

@@ -1,11 +1,16 @@
+import pathlib
 from fractions import Fraction
 
 import pytest
 
-from weakhopf.errors import MalformedInput
+import weakhopf.comod as comod
+import weakhopf.serialize as serialize
+import weakhopf.tannaka as tannaka
+from weakhopf.errors import InternalInconsistency, MalformedInput
 from weakhopf.exactla import QQ, Matrix
 from weakhopf.comod import (
     ComoduleMap,
+    TensorComodule,
     comodule_hom_basis,
     regular_comodule,
     tensor_over_source,
@@ -116,6 +121,69 @@ def test_comonoidal_structure_prebuilt_induced_comodules(gpd2):
     assert reg.coaction != reg_k.coaction
     with pytest.raises(MalformedInput):
         comonoidal_structure(swap, reg, un, a_k=reg, b_k=un_k)
+
+
+def test_perturbed_target_coaction_breaks_the_comodule_map_law(gpd2, monkeypatch):
+    swap = WeakBialgebraMap(gpd2, gpd2, swap_matrix())
+    reg, un = regular_comodule(gpd2), unit_comodule(gpd2)
+    real = TensorComodule._over_target
+    bumped = []
+
+    def doubled(t, left, right):
+        t_k = real(t, left, right)
+        cols, scale = t_k.coaction.col_ints()
+        i = len(cols) - 1
+        cols = [dict(col) for col in cols]
+        row = min(cols[i])
+        cols[i][row] *= 2
+        bumped.append(i)
+        coaction = Matrix.from_int_cols(QQ, cols, scale, t_k.coaction.rows)
+        return TensorComodule._derived(t_k.over, t_k.dim, coaction, factors=t_k.factors, reps=t_k.reps,
+                                       _relator_rows=t_k._relator_rows, _proj=t_k._proj, _views={})
+
+    monkeypatch.setattr(TensorComodule, "_over_target", staticmethod(doubled))
+    res = comonoidal_structure(swap, reg, un)
+    assert [(v.law, v.witness) for v in res.comodule_map_verdict.violations] == [
+        ("comodule map law", (bumped[-1],))]
+    rec = reconstruct_weak_bialgebra_map(functor_from_map(swap, standard_comodules(gpd2)))
+    assert rec.first_failing_layer() == "comonoidal-structure" and rec.bialgebra_map is None
+    assert {v.law for v in rec.layer("comonoidal-structure").violations} == {"iota not a comodule map"}
+
+
+def test_forged_map_breaking_the_counit_raises(gpd2):
+    # 2 phi is multiplicative only up to a factor, and eps_K(2 x . 2 y) = 4 eps_H(x y)
+    forged = object.__new__(WeakBialgebraMap)
+    for slot, value in (("source", gpd2), ("target", gpd2), ("matrix", swap_matrix().scale(QQ.of(2))),
+                        ("_phi_s_bijective", None), ("_eps_pairs_agree", None), ("_induced", {})):
+        object.__setattr__(forged, slot, value)
+    u = unit_comodule(gpd2)
+    for _ in range(2):  # decided once, and raised on every use
+        with pytest.raises(InternalInconsistency):
+            comonoidal_structure(forged, u, u)
+    assert forged._eps_pairs_agree is False
+
+
+def test_reconstruct_builds_one_tensor_product_per_pair(monkeypatch):
+    """Reconstructing swap_functor.json builds one tensor product over H_s per pair
+    of comodules, besides those its comodule names ask for, and verifies no
+    comodule over the target."""
+    golden = pathlib.Path(__file__).parent / "golden"
+    h, _ = serialize.wba_from_document(serialize.parse_text((golden / "gpd2.wba.json").read_text()))
+    k, _ = serialize.wba_from_document(serialize.parse_text((golden / "gpd2.wba.json").read_text()))
+    doc = serialize.parse_text((golden / "swap_functor.json").read_text())
+    tensors, verified = [], []
+    real_tensor, real_init = comod.tensor_over_source, comod.Comodule.__init__
+    for mod in (comod, serialize, tannaka):
+        monkeypatch.setattr(mod, "tensor_over_source", lambda a, b: tensors.append(a.over) or real_tensor(a, b))
+    monkeypatch.setattr(comod.Comodule, "__init__",
+                        lambda self, over, dim, rho: verified.append(over) or real_init(self, over, dim, rho))
+    fd = serialize.functor_from_document(doc, h, {}, k)
+    named = sum([a["comodule"].count("*") for a in doc["assignments"]])
+    assert len(tensors) == named == 1
+    res = reconstruct_weak_bialgebra_map(fd)
+    assert res.ok
+    assert len(tensors) == named + len(fd.assignments) ** 2
+    assert verified and all(over is h for over in verified + tensors)
 
 
 def test_comonoidal_structure_unit_inclusion(k, c2):
