@@ -119,18 +119,18 @@ class Comodule:
         if not verdict.ok:
             raise AxiomViolation(verdict, "comodule axioms")
 
-    def _attach(self, over, dim, coaction, **slots):
-        slots.update(over=over, dim=dim, coaction=coaction, _ints=_coaction_ints(over, dim, coaction),
+    def _attach(self, over, dim, coaction):
+        slots = dict(over=over, dim=dim, coaction=coaction, _ints=_coaction_ints(over, dim, coaction),
                      _acts=None, _act_matrices=None)
         for name, value in slots.items():
             object.__setattr__(self, name, value)
 
     @classmethod
-    def _derived(cls, over: WeakBialgebra, dim: int, coaction: Matrix, **slots) -> "Comodule":
+    def _derived(cls, over: WeakBialgebra, dim: int, coaction: Matrix) -> "Comodule":
         """A comodule whose axioms follow from those of the verified objects it is
         made from (the README): its coaction is lifted and kept, not verified."""
         c = object.__new__(cls)
-        c._attach(over, dim, coaction, **slots)
+        c._attach(over, dim, coaction)
         return c
 
     def __setattr__(self, name, val):
@@ -378,18 +378,8 @@ class TensorComodule(Comodule):
         for name, value in (("factors", (left, right)), ("reps", reps), ("_relator_rows", rows),
                             ("_proj", (proj, sp)), ("_views", {})):
             object.__setattr__(self, name, value)
-        super().__init__(h, len(reps), _quotient_coaction(left, right, reps, proj, sp))
-
-    @staticmethod
-    def _over_target(t: "TensorComodule", left: Comodule, right: Comodule) -> "TensorComodule":
-        """M^phi(a) (x)_{K_s} M^phi(b) for t = a (x)_{H_s} b, left = M^phi(a) and right =
-        M^phi(b) over a verified map phi.  Both are one quotient of M (x) N (the README):
-        t's quotient data is shared, and the coaction, made from the legs of left and
-        right and K's multiplication, is projected by t's int columns, not verified."""
-        coaction = _quotient_coaction(left, right, t.reps, *t._proj)
-        return TensorComodule._derived(
-            left.over, t.dim, coaction, factors=(left, right), reps=t.reps,
-            _relator_rows=t._relator_rows, _proj=t._proj, _views={})
+        cols, scale = _quotient_coaction(h.alg, left.ints(), right.ints(), reps, (proj, sp))
+        super().__init__(h, len(reps), Matrix.from_int_cols(h.field, cols, scale, len(reps) * h.dim))
 
     def projection_ints(self) -> tuple:
         """(cols, scale): cols[f] is the {rep index: int} column of e_f in the projection, at scale."""
@@ -434,18 +424,21 @@ def _diagonal_coaction(mnz, left_nz, right_nz, p: int, vec) -> dict:
     return out
 
 
-def _quotient_coaction(left: Comodule, right: Comodule, reps, proj, sp: int) -> Matrix:
-    """The coaction of (left (x) right) / relators at the representatives reps: the
-    diagonal coaction of each rep, projected by the int columns proj at scale sp."""
-    h, n = left.over, left.over.dim
-    (left_nz, sl), (right_nz, sr) = left.ints(), right.ints()
-    mnz, sm, _, _ = h.alg.ints()
+def _quotient_coaction(alg, left, right, reps, proj) -> tuple:
+    """(cols, scale): the {row: int} columns of the coaction of (M (x) N) / relators at
+    the representatives reps, row q * n + l for rep q (x) b_l.  left and right are the
+    lifted legs (nz, scale) of M and N as `Comodule.ints()` gives them, alg the
+    n-dimensional algebra they coact in, and proj = (cols, scale) the projection's int
+    columns: the diagonal coaction of each rep, projected by proj."""
+    (left_nz, sl), (right_nz, sr), (pcols, sp) = left, right, proj
+    mnz, sm, _, _ = alg.ints()
+    n = len(mnz)
     cols = [{} for _ in reps]
     for col, f in zip(cols, reps):
-        for (pair, l), coef in _diagonal_coaction(mnz, left_nz, right_nz, right.dim, [(f, 1)]).items():
-            for q2, pc in proj[pair].items():
+        for (pair, l), coef in _diagonal_coaction(mnz, left_nz, right_nz, len(right_nz), [(f, 1)]).items():
+            for q2, pc in pcols[pair].items():
                 col[q2 * n + l] = col.get(q2 * n + l, 0) + pc * coef
-    return Matrix.from_int_cols(h.field, cols, sp * sl * sr * sm, len(reps) * n)
+    return cols, sp * sl * sr * sm
 
 
 def tensor_over_source(a: Comodule, b: Comodule) -> TensorComodule:

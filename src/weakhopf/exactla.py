@@ -299,10 +299,14 @@ def ints_differ(p: int, u, su: int, v, sv: int) -> bool:
 
 def ints_to_field(field: FieldSpec, data, scale: int):
     """The field vector or nested tensor ints / scale (undoes `lift_to_ints`)."""
+    p = field.characteristic
     if field.kind == "rationals":
         of = Fraction if scale == 1 else lambda x: Fraction(x, scale)
+    elif scale % p == 1:
+        of = lambda x: Mod(x, p)
     else:
-        of = lambda x: Mod(x, field.characteristic)
+        inv = pow(scale, -1, p)
+        of = lambda x: Mod(x * inv, p)
     return _renest(data, iter([tuple([of(x) for x in row]) for row in _rows(data)]))
 
 
@@ -404,6 +408,9 @@ class Matrix:
         lift kept as `col_ints` gives it: over Q with the content shared with the
         scale divided out (the lcm of the denominators remains), over GF(p) residues."""
         p = field.characteristic
+        if p and scale % p != 1:
+            inv = pow(scale, -1, p)
+            cols, scale = [{r: x * inv for r, x in col.items()} for col in cols], 1
         lifted = [sorted([(r, x % p if p else x) for r, x in col.items() if (x % p if p else x)])
                   for col in cols]
         g = scale if p else gcd(scale, *[x for col in lifted for _, x in col])

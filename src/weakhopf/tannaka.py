@@ -12,6 +12,8 @@ data, layer by layer, in a fixed order:
     source-bijectivity -> comonoidal-structure
 
 Reports name the first failing layer and still evaluate the later layers.
+The comonoidal layer compares, on ints, the two coactions of each pair's one
+tensor product over H_s (`comonoidal_structure`).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .comod import (
     Comodule,
     ComoduleMap,
     TensorComodule,
+    _quotient_coaction,
     coaction_verdict,
     tensor_over_source,
 )
@@ -51,7 +54,7 @@ RECONSTRUCTION_LAYERS = (
 class WeakBialgebraMap:
     """A verified map of weak bialgebras (algebra map and coalgebra map)."""
 
-    __slots__ = ("source", "target", "matrix", "_phi_s_bijective", "_eps_pairs_agree", "_induced")
+    __slots__ = ("source", "target", "matrix", "_eps_pairs_agree")
 
     def __init__(self, source: WeakBialgebra, target: WeakBialgebra, matrix: Matrix):
         verdict = map_verdict(matrix, source, target)
@@ -60,9 +63,7 @@ class WeakBialgebraMap:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "_phi_s_bijective", None)
         object.__setattr__(self, "_eps_pairs_agree", None)
-        object.__setattr__(self, "_induced", {})
 
     def __setattr__(self, name, val):
         raise AttributeError("WeakBialgebraMap is immutable")
@@ -77,13 +78,6 @@ class WeakBialgebraMap:
         """phi restricted to H_s, as a matrix in the canonical echelon bases."""
         return _phi_s_matrix(self.matrix, self.source, self.target)
 
-    def phi_s_bijective(self) -> bool:
-        """Whether phi restricts to a bijection H_s -> K_s; decided on first use."""
-        if self._phi_s_bijective is None:
-            bij = inverse(self.source_restriction()) is not None
-            object.__setattr__(self, "_phi_s_bijective", bij)
-        return self._phi_s_bijective
-
     def _require_eps_pairs(self) -> None:
         """Raise unless eps_K(phi b_j . phi b_k) = eps_H(b_j b_k) for all j, k, under
         which M^phi (x)_{K_s} N^phi and M (x)_{H_s} N are one quotient; decided on first use."""
@@ -96,13 +90,6 @@ class WeakBialgebraMap:
             object.__setattr__(self, "_eps_pairs_agree", not differ)
         if not self._eps_pairs_agree:
             raise InternalInconsistency("eps_K(phi x . phi y) != eps_H(x y) for a weak bialgebra map")
-
-    def induced(self, m: Comodule) -> Comodule:
-        """M^phi(m), built on the first request for m and kept on this map."""
-        m_k = self._induced.get(m)
-        if m_k is None:
-            m_k = self._induced[m] = induced_functor(self, m)
-        return m_k
 
     def __repr__(self):
         return f"WeakBialgebraMap({self.source!r} -> {self.target!r})"
@@ -183,15 +170,20 @@ def check_map(phi: Matrix, source: WeakBialgebra, target: WeakBialgebra):
 
 def induced_coaction(phi: Matrix, m: Comodule, target: WeakBialgebra) -> Matrix:
     """(id_M (x) phi) . rho_M as a coaction matrix into M (x) K."""
-    nk = target.dim
-    cols, sp = phi.col_ints()
-    nz, s = m.ints()
-    out = [{} for _ in range(m.dim)]
-    for col, terms in zip(out, nz):
+    return Matrix.from_int_cols(target.field, *_id_phi_ints(phi, m.ints(), target.dim), m.dim * target.dim)
+
+
+def _id_phi_ints(phi: Matrix, lifted, nk: int) -> tuple:
+    """(cols, scale): the {row: int} columns of (id_M (x) phi) . rho_M into M (x) K, the
+    pair (a, k) at row a * nk + k, from the lifted coaction (nz, scale) of `Comodule.ints()`."""
+    pcols, sp = phi.col_ints()
+    nz, s = lifted
+    cols = [{} for _ in nz]
+    for col, terms in zip(cols, nz):
         for a, j, c in terms:
-            for k, v in cols[j]:
+            for k, v in pcols[j]:
                 col[a * nk + k] = col.get(a * nk + k, 0) + c * v
-    return Matrix.from_int_cols(target.field, out, s * sp, m.dim * nk)
+    return cols, s * sp
 
 
 def induced_functor(phi: WeakBialgebraMap, m: Comodule) -> Comodule:
@@ -231,54 +223,33 @@ class PhiSEscape(Exception):
         super().__init__("phi(H_s) escaped K_s")
 
 
-@dataclass(frozen=True)
-class IotaResult:
-    """The comonoidal comparison map iota for one pair of comodules."""
-
-    matrix: Matrix
-    source: Comodule
-    target: TensorComodule
-    comodule_map_verdict: Verdict
-    surjective: bool
-    bijective: bool
-    phi_s_bijective: bool
-
-
-def comonoidal_structure(
-    phi: WeakBialgebraMap,
-    a: Comodule,
-    b: Comodule,
-    a_k: Comodule | None = None,
-    b_k: Comodule | None = None,
-) -> IotaResult:
-    """iota_{a,b}: M^phi(a (x)_{H_s} b) -> M^phi(a) (x)_{K_s} M^phi(b).
+def comonoidal_structure(phi: WeakBialgebraMap, t: TensorComodule) -> Verdict:
+    """The comodule-map law of iota_{a,b}: M^phi(a (x)_{H_s} b) -> M^phi(a) (x)_{K_s} M^phi(b)
+    for t = a (x)_{H_s} b, with a, b = t.factors.
 
     Both sides are one quotient of a (x) b (the README), so iota is the identity
-    on the representatives, always bijective, and the verdict compares the
-    target side's coaction, column by column, with (id (x) phi) of the source
-    one's.  M^phi(a) and M^phi(b) are built once per map
-    (`WeakBialgebraMap.induced`); induced comodules a caller passes as a_k and
-    b_k must have exactly their structure.
+    on t's representatives.  The target side's coaction is made on ints from the
+    legs of a and b sent through id (x) phi, K's multiplication and t's
+    projection columns; it is compared, column by column, with (id (x) phi) of
+    t's coaction, and a column that differs is a `comodule map law` violation.
     """
-    if a.over is not phi.source or b.over is not phi.source:
+    if t.over is not phi.source:
         raise MalformedInput("comodules are not over the map's source")
-    induced = phi.induced(a), phi.induced(b)
-    for m_k, want in zip((a_k, b_k), induced):
-        if m_k is not None and m_k is not want and not m_k.same_structure(want):
-            raise MalformedInput("comodule is not the induced comodule over the map's target")
     phi._require_eps_pairs()
-    t_h = tensor_over_source(a, b)
-    t_k = TensorComodule._over_target(t_h, *induced)
-    src = induced_functor(phi, t_h)
-    field = phi.target.field
-    (tnz, st), (snz, ss) = t_k.ints(), src.ints()
+    k = phi.target
+    nk = k.dim
+    legs = []
+    for m in t.factors:
+        cols, s = _id_phi_ints(phi.matrix, m.ints(), nk)
+        legs.append(([[(*divmod(r, nk), c) for r, c in col.items()] for col in cols], s))
+    lhs, sl = _quotient_coaction(k.alg, *legs, t.reps, t.projection_ints())
+    rhs, sr = _id_phi_ints(phi.matrix, t.ints(), nk)
     violations = []
-    for i in range(t_h.dim):
-        lhs, rhs = [{(a2, j): c for a2, j, c in nz[i]} for nz in (tnz, snz)]
-        if _sides_differ(field.characteristic, lhs, st, rhs, ss):
-            violations.append(_dict_violation(field, "comodule map law", (i,), lhs, st, rhs, ss))
-    return IotaResult(Matrix.identity(field, t_h.dim), src, t_k, Verdict(tuple(violations)),
-                      True, True, phi.phi_s_bijective())
+    for i, (lc, rc) in enumerate(zip(lhs, rhs)):
+        if _sides_differ(k.field.characteristic, lc, sl, rc, sr):
+            lc, rc = [{divmod(r, nk): c for r, c in col.items()} for col in (lc, rc)]
+            violations.append(_dict_violation(k.field, "comodule map law", (i,), lc, sl, rc, sr))
+    return Verdict(tuple(violations))
 
 
 class FunctorData:
@@ -453,13 +424,14 @@ def reconstruct_weak_bialgebra_map(fd: FunctorData) -> ReconstructionResult:
     if all(v.ok for _, v in layers):
         bmap = WeakBialgebraMap(h, k, phi)
         comods = [m for m, _ in fd.assignments]
+        # a product the table assigns is t_h for its own factors
+        named = {tuple(map(id, m.factors)): m for m in comods if isinstance(m, TensorComodule)}
         for i, m in enumerate(comods):
             for j, m2 in enumerate(comods):
-                res = comonoidal_structure(bmap, m, m2)
-                if not res.comodule_map_verdict.ok:
-                    como_violations.append(
-                        Violation("iota not a comodule map", (i, j), res.comodule_map_verdict.describe(), None)
-                    )
+                t = named.get((id(m), id(m2)))
+                verdict = comonoidal_structure(bmap, tensor_over_source(m, m2) if t is None else t)
+                if not verdict.ok:
+                    como_violations.append(Violation("iota not a comodule map", (i, j), verdict.describe(), None))
     else:
         como_violations.append(
             Violation("skipped: earlier layer failed", (), None, None)

@@ -50,6 +50,7 @@ from weakhopf.tannaka import (
     _phi_s_matrix,
     functor_from_map,
     induced_coaction,
+    induced_functor,
     map_verdict,
     reconstruct_coalgebra_map,
 )
@@ -289,24 +290,26 @@ def _phi_s_or_escape(phi, h, k):
 
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
 def test_target_tensor_product_is_the_source_quotient(field):
-    """iota reads M^phi(a) (x)_{K_s} M^phi(b) off a (x)_{H_s} b: it must be the tensor
-    product built and verified over the target, for every map and comodule pair;
-    the comodules `induced_functor` attaches unverified satisfy the axioms."""
+    """M^phi(a) (x)_{K_s} M^phi(b), built and verified over the target, is the quotient
+    of a (x)_{H_s} b with (id (x) phi) of its coaction, for every map and comodule pair,
+    and the comonoidal layer passes on each; the comodules `induced_functor`
+    attaches unverified satisfy the axioms."""
     for phi, h, k in _maps(field):
         bmap = WeakBialgebraMap(h, k, phi)
         comods = comodules(h)
-        for m in comods:
-            assert coaction_verdict(k, m.dim, bmap.induced(m).coaction).ok
-        for m in comods:
-            for m2 in comods:
-                iota = comonoidal_structure(bmap, m, m2)
-                t_k, want = iota.target, tensor_over_source(bmap.induced(m), bmap.induced(m2))
-                assert t_k.reps == want.reps
-                assert t_k.projection_ints() == want.projection_ints()
-                _same(t_k.coaction, want.coaction)
-                assert coaction_verdict(k, iota.source.dim, iota.source.coaction).ok
-                assert iota.comodule_map_verdict.ok
-                assert iota.matrix == Matrix.identity(field, want.dim) and iota.bijective
+        induced = [induced_functor(bmap, m) for m in comods]
+        for m_k in induced:
+            assert coaction_verdict(k, m_k.dim, m_k.coaction).ok
+        for m, m_k in zip(comods, induced):
+            for m2, m2_k in zip(comods, induced):
+                t_h = tensor_over_source(m, m2)
+                assert comonoidal_structure(bmap, t_h).ok
+                t_k = tensor_over_source(m_k, m2_k)
+                assert t_k.reps == t_h.reps
+                assert t_k.projection_ints() == t_h.projection_ints()
+                _same(t_k.coaction, induced_coaction(phi, t_h, k))
+                t_phi = induced_functor(bmap, t_h)
+                assert coaction_verdict(k, t_phi.dim, t_phi.coaction).ok
 
 
 def _ref_coalgebra_layers(fd):

@@ -17,6 +17,7 @@ from weakhopf.exactla import (
     _is_prime,
     _row_ints,
     intersect,
+    ints_to_field,
     inverse,
     kernel_basis,
     parse_field_name,
@@ -305,3 +306,18 @@ def test_characteristic_cap_and_digit_limit():
     with pytest.raises(MalformedInput):
         QQ.parse("1/" + "7" * 5000)
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_int_results_over_a_prime_field_divide_by_the_scale():
+    f = GF(5)
+    assert ints_to_field(f, (1, 2), 2) == (Mod(3, 5), Mod(1, 5))
+    assert ints_to_field(f, ((1, 2), (4,)), 7) == ((Mod(3, 5), Mod(1, 5)), (Mod(2, 5),))
+    assert ints_to_field(f, (1, 2), 6) == (Mod(1, 5), Mod(2, 5))  # 6 = 1 mod 5
+    m = Matrix.from_int_cols(f, [{0: 1}], 2, 1)
+    assert m.entries == ((Mod(3, 5),),)
+    assert m.col_ints() == ((((0, 3),),), 1)
+    m = Matrix.from_int_cols(f, [{0: 1, 1: 4}, {1: 2}], 3, 2)
+    assert m == Matrix(f, [[2, 0], [3, 4]])
+    assert m.col_ints() == ((((0, 2), (1, 3)), ((1, 4),)), 1)
+    # the scale is a unit: two lifts of one matrix give one matrix
+    assert Matrix.from_int_cols(f, [{0: 2}], 4, 1) == Matrix.from_int_cols(f, [{0: 1}], 2, 1)

@@ -1,8 +1,8 @@
 """A seeded corpus of mutated documents through the CLI: the exit-code contract.
 
 Every mutant of the golden documents k, c2, gpd2, sum and z3gf2 goes through
-`cli.main` for `decompose` and for `dsum` (the mutant as the first summand,
-k as the second), and every mutant of the functor documents swap_functor and
+`cli.main` for `check`, `lemmas`, `counital`, `dualize`, `decompose` and
+`dsum` (the mutant as the first summand, k as the second), and every mutant of the functor documents swap_functor and
 corrupt_functor through `reconstruct` from gpd2 to gpd2.  Whatever the
 mutation, the command must answer with exit code 0 (pass), 1 (violation) or
 2 (malformed input), print no traceback, and finish within
@@ -123,15 +123,15 @@ def functor_corpus():
     return out
 
 
-@pytest.mark.parametrize("command", ["decompose", "dsum", "reconstruct"])
+@pytest.mark.parametrize("command", ["check", "lemmas", "counital", "dualize", "decompose", "dsum", "reconstruct"])
 def test_mutated_documents_keep_the_exit_code_contract(capsys, tmp_path, command):
     k_path, gpd2_path = str(GOLDEN / "k.wba.json"), str(GOLDEN / "gpd2.wba.json")
     codes = set()
     for name, text in functor_corpus() if command == "reconstruct" else corpus():
         path = tmp_path / "mutant.json"
         path.write_text(text, encoding="utf-8")
-        argv = {"decompose": [command, str(path)], "dsum": [command, str(path), k_path],
-                "reconstruct": [command, gpd2_path, gpd2_path, str(path)]}[command]
+        argv = {"dsum": [command, str(path), k_path],
+                "reconstruct": [command, gpd2_path, gpd2_path, str(path)]}.get(command, [command, str(path)])
         start = time.perf_counter()
         code = main(argv)
         elapsed = time.perf_counter() - start
