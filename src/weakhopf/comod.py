@@ -27,9 +27,11 @@ from .errors import (
 from .exactla import (
     Matrix,
     Subspace,
-    _kernel_nz,
+    _int_kernel,
     inverse,
     _int_quotient,
+    ints_to_field,
+    lift_to_ints,
     vec_zero,
 )
 from .structure import _comul, _dict_violation, _field_items, _sides_differ, _unit_violation
@@ -178,8 +180,9 @@ class Comodule:
 
     def coact_nonzeros(self, i: int) -> list:
         """The nonzero entries ((a, j), c) of rho(m_i), by row index."""
-        n = self.over.dim
-        return [(divmod(r, n), c) for r, c in self.coaction.col_nz()[i]]
+        nz, s = self._ints
+        values = ints_to_field(self.over.field, tuple([c for _, _, c in nz[i]]), s)
+        return [((a, j), x) for (a, j, _), x in zip(nz[i], values)]
 
     def same_structure(self, other: "Comodule") -> bool:
         return (
@@ -477,15 +480,18 @@ def unitors(c: Comodule):
         raise InternalInconsistency("the unit escaped H_s")
     out = []
     # y_r (x) m_b sits at r*m + b in unit (x) c, and m_b (x) y_r at b*s + r in c (x) unit
-    for side, t, acts, at in (("left", tensor_over_source(unit_c, c), c.left_act, lambda r, b: r * m + b),
-                              ("right", tensor_over_source(c, unit_c), c.right_act, lambda r, b: b * s + r)):
-        evals = [tuple(sorted((at(r, b), x) for r in range(s) for b, x in acts[r].nz[a2])) for a2 in range(m)]
-        mat = Matrix._sparse(field, tuple(evals), s * m).mul(t.section)
-        back = [()] * (s * m)
-        for r, coef in enumerate(one_s):
+    ones, so = lift_to_ints(field, one_s)
+    left, right, sa = c.act_ints()
+    for side, t, acts, at in (("left", tensor_over_source(unit_c, c), left, lambda r, b: r * m + b),
+                              ("right", tensor_over_source(c, unit_c), right, lambda r, b: b * s + r)):
+        # column at(r, b) of the evaluation is y_r . m_b (m_b . y_r on the right)
+        evals = [None] * (s * m)
+        for r in range(s):
             for b in range(m):
-                back[at(r, b)] = ((b, coef),) if coef else ()
-        inv = t.projection.mul(Matrix._sparse(field, tuple(back), m))
+                evals[at(r, b)] = acts[r][b]
+        mat = Matrix.from_int_cols(field, evals, sa, m).mul(t.section)
+        back = [{at(r, b): x for r, x in enumerate(ones)} for b in range(m)]
+        inv = t.projection.mul(Matrix.from_int_cols(field, back, so, s * m))
         out += [ComoduleMap(t, c, mat), ComoduleMap(c, t, inv)]
         if mat.mul(inv) != Matrix.identity(field, m) or inv.mul(mat) != Matrix.identity(field, t.dim):
             raise InternalInconsistency(f"{side} unitor is not an isomorphism")
@@ -616,32 +622,31 @@ def comodule_hom_basis(m: Comodule, n_c: Comodule) -> list[Matrix]:
     field = h.field
     tm, tn = m.dim, n_c.dim
     unknowns = tn * tm
-    z = field.zero
+    (mnz, sm), (nnz, sn) = m.ints(), n_c.ints()
+    rho_n = {}
+    for b, terms in enumerate(nnz):
+        for a, j, c in terms:
+            rho_n.setdefault((a, j), []).append((b, c))
+    # unknown F[b][i] at b * tm + i; one row per (i, a, j): (rho_N F - (F (x) id) rho_M)(m_i) at (a, j)
     rows = []
-    coaction_nz = n_c.coaction.nz
     for i in range(tm):
-        m_nz = m.coact_nonzeros(i)
         for a in range(tn):
             for j in range(n):
                 row = {}
-                for b, c in coaction_nz[a * n + j]:
-                    row[b * tm + i] = row.get(b * tm + i, z) + c
-                for (a2, j2), c in m_nz:
+                for b, c in rho_n.get((a, j), ()):
+                    row[b * tm + i] = row.get(b * tm + i, 0) + c * sm
+                for a2, j2, c in mnz[i]:
                     if j2 == j:
-                        row[a * tm + a2] = row.get(a * tm + a2, z) - c
-                if any(row.values()):
-                    rows.append(row)
-    if not rows:
-        basis = [((i, field.one),) for i in range(unknowns)]
-    else:
-        basis = _kernel_nz(Matrix._from_dicts(field, rows, unknowns))
+                        row[a * tm + a2] = row.get(a * tm + a2, 0) - c * sn
+                rows.append(row)
+    vectors, scale = _int_kernel(field.characteristic, rows, unknowns)
     out = []
-    for flat in basis:
-        grid = [[] for _ in range(tn)]
-        for idx, x in flat:
+    for v in vectors:
+        cols = [{} for _ in range(tm)]
+        for idx, x in v.items():
             r, c = divmod(idx, tm)
-            grid[r].append((c, x))
-        out.append(Matrix._sparse(field, tuple(map(tuple, grid)), tm))
+            cols[c][r] = x
+        out.append(Matrix.from_int_cols(field, cols, scale, tn))
     return out
 
 

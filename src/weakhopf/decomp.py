@@ -28,6 +28,7 @@ from .errors import (
 from .exactla import (
     Matrix,
     Subspace,
+    _apply,
     column_space,
     ints_differ,
     ints_to_field,
@@ -42,7 +43,6 @@ from .exactla import (
 from .structure import (
     FiniteAlgebra,
     FiniteCoalgebra,
-    _apply,
     _canonical_vector,
     _comul,
     _mul,
@@ -129,12 +129,14 @@ def _block_diag_tensor(field, tensors, dims):
 
 
 def _block_diag_matrix(field, mats) -> Matrix:
-    rows = []
+    scale = lcm(*[m.col_ints()[1] for m in mats])
+    cols = []
     off = 0
     for m in mats:
-        rows.extend(tuple([(off + j, x) for j, x in row]) for row in m.nz)
+        mc, s = m.col_ints()
+        cols += [{off + r: x * (scale // s) for r, x in col} for col in mc]
         off += m.rows
-    return Matrix._sparse(field, tuple(rows), off)
+    return Matrix.from_int_cols(field, cols, scale, off)
 
 
 def direct_sum(*summands: WeakBialgebra) -> WeakBialgebra:
@@ -237,7 +239,10 @@ def _minimal_polynomial(h: WeakBialgebra, w, unit_vec, space: Subspace):
     deg = len(pivots)
     if deg > space.dim:
         raise InternalInconsistency("minimal polynomial exceeded the subalgebra dimension")
-    return [-dict(row).get(deg, field.zero) for row in red.nz[:deg]] + [field.one]
+    # rows 0..deg-1 of red are pivoted at the powers 0..deg-1; column deg holds w^deg in them
+    cols, scale = red.col_ints()
+    last = dict(cols[deg])
+    return list(ints_to_field(field, tuple([-last.get(r, 0) for r in range(deg)]), scale)) + [field.one]
 
 
 def _crt_idempotents(h: WeakBialgebra, w, f, minpoly, parts) -> list[tuple]:
@@ -278,7 +283,7 @@ def _split_pieces(h: WeakBialgebra, k_space: Subspace):
     a basis vector leaves a factor without a root in the field.
     """
     field = h.field
-    pending = [tuple(h.unit)]
+    pending = [tuple(h.unit)] if any(h.unit) else []  # the zero algebra is the empty sum
     pieces = []
     while pending:
         f = pending.pop()
@@ -528,9 +533,9 @@ def decompose(h: WeakBialgebra) -> DecompositionReport:
 
 
 def is_indecomposable(h: WeakBialgebra) -> str:
-    """'yes', 'no', or 'undecided-over-field'."""
+    """'yes', 'no', or 'undecided-over-field'; the zero algebra (no block) is not indecomposable."""
     report = decompose(h)
-    if report.block_count > 1:
+    if report.block_count != 1:
         return "no"
     return "yes" if report.fully_certified else CERT_UNDECIDED
 
@@ -591,21 +596,15 @@ def _verify_module_reassembly(h, mod, data, pieces, spaces):
     inv = inverse(change)
     if inv is None:
         raise InternalInconsistency("piece bases do not span the module")
-    offs = []
-    off = 0
-    for p in pieces:
-        offs.append(off)
-        off += p.dim
-    z = field.zero
     for i in range(h.dim):
-        rows = [{} for _ in range(mod.dim)]
-        for off, piece, proj in zip(offs, pieces, data.projections):
-            for r, c in proj.col_nz()[i]:
-                for a, row in enumerate(piece.actions[r].nz):
-                    acc = rows[off + a]
-                    for b, x in row:
-                        acc[off + b] = acc.get(off + b, z) + c * x
-        g_act = Matrix._from_dicts(field, rows, mod.dim)
+        acts = []
+        for piece, proj in zip(pieces, data.projections):
+            act = Matrix.zeros(field, piece.dim, piece.dim)
+            for r, c in enumerate(proj.col(i)):
+                if c:
+                    act = act.add(piece.actions[r].scale(c))
+            acts.append(act)
+        g_act = _block_diag_matrix(field, acts)
         transported = inv.mul(mod.actions[i]).mul(change)
         if g_act != transported:
             raise InternalInconsistency("module reassembly differs from the original")

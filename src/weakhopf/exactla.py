@@ -1,9 +1,12 @@
 """Exact field arithmetic and the sparse linear-algebra substrate.
 
 Scalars are `fractions.Fraction` over the rationals and `Mod` residue classes
-over a prime field.  A `Matrix` stores only the nonzeros of each row, and the
-kernels below (products, elimination, solving) iterate over those alone.
-Two guarantees made here carry the whole package:
+over a prime field, and `FieldSpec.parse_ints` is the one scalar grammar.  A
+`Matrix` is stored as its lifted int columns (the nonzeros of each column as
+ints over one scale) and a `Subspace` as its echelon rows on ints; field
+scalars are views built when read.  The kernels below (products,
+elimination, solving) run on those ints and follow the nonzeros.  Two
+guarantees made here carry the whole package:
 
 * all arithmetic is exact, so equality is structural and zero tests decide;
 * every derived basis is canonical (reduced row echelon, free variables
@@ -19,13 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, ne, sub
+from operator import ne, sub
 import re
 
 from .errors import MalformedInput
 
-_RAT_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
-_INT_RE = re.compile(r"^-?\d+$")
+_RAT_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+_INT_RE = re.compile(r"-?[0-9]+")
 
 
 # Miller-Rabin with the first 13 primes as bases decides primality of every
@@ -192,20 +195,29 @@ class FieldSpec:
             return isinstance(x, Fraction)
         return isinstance(x, Mod) and x.p == self.characteristic
 
-    def parse(self, s: str):
+    def parse_ints(self, s: str) -> tuple:
+        """(num, den), ints with the scalar string s == num / den and den > 0.
+
+        The one scalar grammar: over Q an integer or "a/b" with b >= 1, not
+        necessarily in lowest terms; over GF(p) an integer, any representative
+        (den == 1).  Digits are ASCII, with an optional leading minus sign.
+        """
         if not isinstance(s, str):
             raise MalformedInput(f"scalar must be a string, got {s!r}")
+        if self.kind == "rationals":
+            if not _RAT_RE.fullmatch(s):
+                raise MalformedInput(f"bad rational scalar {s!r}")
+        elif not _INT_RE.fullmatch(s):
+            raise MalformedInput(f"bad residue scalar {s!r}")
+        num, _, den = s.partition("/")
         try:
-            if self.kind == "rationals":
-                if not _RAT_RE.match(s):
-                    raise MalformedInput(f"bad rational scalar {s!r}")
-                num, _, den = s.partition("/")
-                return Fraction(int(num), int(den)) if den else Fraction(int(num))
-            if not _INT_RE.match(s):
-                raise MalformedInput(f"bad residue scalar {s!r}")
-            return Mod(int(s), self.characteristic)
+            return int(num), int(den) if den else 1
         except ValueError as exc:  # the interpreter's limit on integer digits
             raise MalformedInput(f"scalar of {len(s)} characters: {exc}")
+
+    def parse(self, s: str):
+        num, den = self.parse_ints(s)
+        return Fraction(num, den) if self.kind == "rationals" else Mod(num, self.characteristic)
 
     def fmt(self, x) -> str:
         return str(x)
@@ -227,7 +239,7 @@ def parse_field_name(name: str) -> FieldSpec:
         raise MalformedInput(f"field name must be a string, got {name!r}")
     if name == "Q":
         return QQ
-    m = re.match(r"^GF\((\d+)\)$", name)
+    m = re.fullmatch(r"GF\(([0-9]+)\)", name)
     if not m:
         raise MalformedInput(f"unknown field name {name!r}")
     digits = m.group(1)
@@ -351,262 +363,6 @@ def _primitive(row: dict) -> dict:
     return {j: x // g for j, x in row.items()} if g > 1 else row
 
 
-class Matrix:
-    """Exact matrix over one field, stored as the nonzeros of each row.
-
-    ``nz[r]`` holds the (column, value) pairs of row r whose value is nonzero,
-    in increasing column order.  That form is canonical, so equality and
-    hashing stay structural; ``entries`` is a derived dense view.
-    """
-
-    __slots__ = ("field", "rows", "cols", "nz", "_col_nz", "_col_ints")
-
-    def __init__(self, field: FieldSpec, entries, cols: int | None = None):
-        nz = []
-        width = cols
-        for row in entries:
-            row = tuple(field.of(x) if isinstance(x, int) else x for x in row)
-            for x in row:
-                if not field.is_element(x):
-                    raise MalformedInput(f"entry {x!r} is not an element of {field}")
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise MalformedInput("ragged matrix rows")
-            nz.append(tuple([(j, x) for j, x in enumerate(row) if x]))
-        if width is None:
-            raise MalformedInput("column count needed for a matrix with no rows")
-        self._init(field, tuple(nz), width)
-
-    def _init(self, field, nz, cols):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", len(nz))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "nz", nz)
-        object.__setattr__(self, "_col_nz", None)
-        object.__setattr__(self, "_col_ints", None)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("Matrix is immutable")
-
-    @staticmethod
-    def _sparse(field: FieldSpec, nz, cols: int) -> "Matrix":
-        """Internal fast path: nz is already a tuple of canonical nonzero rows."""
-        m = object.__new__(Matrix)
-        m._init(field, nz, cols)
-        return m
-
-    @staticmethod
-    def _from_dicts(field: FieldSpec, rows, cols: int) -> "Matrix":
-        """Internal: rows given as {column: value} dicts, zero values allowed."""
-        nz = tuple([tuple([(j, x) for j, x in sorted(r.items()) if x]) if r else () for r in rows])
-        return Matrix._sparse(field, nz, cols)
-
-    @staticmethod
-    def from_int_cols(field: FieldSpec, cols, scale: int, rows: int) -> "Matrix":
-        """The matrix whose column c is the {row: int} dict cols[c] / scale, with its
-        lift kept as `col_ints` gives it: over Q with the content shared with the
-        scale divided out (the lcm of the denominators remains), over GF(p) residues."""
-        p = field.characteristic
-        if p and scale % p != 1:
-            inv = pow(scale, -1, p)
-            cols, scale = [{r: x * inv for r, x in col.items()} for col in cols], 1
-        lifted = [sorted([(r, x % p if p else x) for r, x in col.items() if (x % p if p else x)])
-                  for col in cols]
-        g = scale if p else gcd(scale, *[x for col in lifted for _, x in col])
-        if g > 1 and not p:
-            lifted = [[(r, x // g) for r, x in col] for col in lifted]
-        scale //= g
-        values = iter(ints_to_field(field, tuple([x for col in lifted for _, x in col]), scale))
-        out = [[] for _ in range(rows)]
-        for c, col in enumerate(lifted):
-            for r, _ in col:
-                out[r].append((c, next(values)))
-        m = Matrix._sparse(field, tuple(map(tuple, out)), len(cols))
-        object.__setattr__(m, "_col_ints", (tuple(map(tuple, lifted)), scale))
-        return m
-
-    @staticmethod
-    def zeros(field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        return Matrix._sparse(field, ((),) * rows, cols)
-
-    @staticmethod
-    def identity(field: FieldSpec, n: int) -> "Matrix":
-        o = field.one
-        return Matrix._sparse(field, tuple([((i, o),) for i in range(n)]), n)
-
-    @staticmethod
-    def from_cols(field: FieldSpec, cols_list, rows: int | None = None) -> "Matrix":
-        cols_list = list(cols_list)
-        if not cols_list:
-            if rows is None:
-                raise MalformedInput("row count needed for a matrix with no columns")
-            return Matrix.zeros(field, rows, 0)
-        out = [[] for _ in cols_list[0]]
-        for j, col in enumerate(cols_list):
-            for i, x in enumerate(col):
-                if x:
-                    out[i].append((j, x))
-        return Matrix._sparse(field, tuple(map(tuple, out)), len(cols_list))
-
-    @property
-    def entries(self) -> tuple:
-        """The dense rows, rebuilt on every read."""
-        z = self.field.zero
-        out = []
-        for row in self.nz:
-            dense = [z] * self.cols
-            for j, x in row:
-                dense[j] = x
-            out.append(tuple(dense))
-        return tuple(out)
-
-    def col_nz(self) -> tuple:
-        """Per column c, the (row, value) pairs of its nonzeros, by row."""
-        if self._col_nz is None:
-            out = [[] for _ in range(self.cols)]
-            for r, row in enumerate(self.nz):
-                for j, x in row:
-                    out[j].append((r, x))
-            object.__setattr__(self, "_col_nz", tuple(map(tuple, out)))
-        return self._col_nz
-
-    def col_ints(self) -> tuple:
-        """(cols, scale): `col_nz()` with its values lifted by `lift_to_ints`, kept."""
-        if self._col_ints is None:
-            cols = self.col_nz()
-            values, scale = lift_to_ints(self.field, tuple([x for col in cols for _, x in col]))
-            it = iter(values)
-            lifted = tuple([tuple([(r, next(it)) for r, _ in col]) for col in cols])
-            object.__setattr__(self, "_col_ints", (lifted, scale))
-        return self._col_ints
-
-    def col(self, j: int) -> tuple:
-        out = [self.field.zero] * self.rows
-        for r, x in self.col_nz()[j]:
-            out[r] = x
-        return tuple(out)
-
-    def column_list(self) -> list[tuple]:
-        return [self.col(j) for j in range(self.cols)]
-
-    def apply(self, v) -> tuple:
-        if len(v) != self.cols:
-            raise MalformedInput(
-                f"vector of length {len(v)} fed to a {self.rows}x{self.cols} matrix"
-            )
-        z = self.field.zero
-        out = []
-        for row in self.nz:
-            acc = z
-            for j, c in row:
-                x = v[j]
-                if x:
-                    acc = acc + c * x
-            out.append(acc)
-        return tuple(out)
-
-    def mul(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field:
-            raise MalformedInput("matrix product across different fields")
-        if self.cols != other.rows:
-            raise MalformedInput(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        one = self.field.one
-        onz = other.nz
-        out = []
-        for row in self.nz:
-            if len(row) == 1:
-                k, c = row[0]
-                orow = onz[k]
-                out.append(orow if c == one else tuple([(j, c * x) for j, x in orow]))
-                continue
-            acc = {}
-            for k, c in row:
-                for j, x in onz[k]:
-                    if j in acc:
-                        acc[j] = acc[j] + c * x
-                    else:
-                        acc[j] = c * x
-            out.append(tuple([(j, x) for j, x in sorted(acc.items()) if x]))
-        return Matrix._sparse(self.field, tuple(out), other.cols)
-
-    def _combine(self, other: "Matrix", op) -> "Matrix":
-        self._same_shape(other)
-        z = self.field.zero
-        out = []
-        for r, s in zip(self.nz, other.nz):
-            acc = dict(r)
-            for j, x in s:
-                acc[j] = op(acc.get(j, z), x)
-            out.append(acc)
-        return Matrix._from_dicts(self.field, out, self.cols)
-
-    def add(self, other: "Matrix") -> "Matrix":
-        return self._combine(other, add)
-
-    def sub(self, other: "Matrix") -> "Matrix":
-        return self._combine(other, sub)
-
-    def scale(self, c) -> "Matrix":
-        if not c:
-            return Matrix.zeros(self.field, self.rows, self.cols)
-        return Matrix._sparse(
-            self.field, tuple([tuple([(j, c * x) for j, x in row]) for row in self.nz]), self.cols
-        )
-
-    def transpose(self) -> "Matrix":
-        return Matrix._sparse(self.field, self.col_nz(), self.rows)
-
-    def kron(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field:
-            raise MalformedInput("kron across different fields")
-        oc = other.cols
-        out = []
-        for r1 in self.nz:
-            for r2 in other.nz:
-                out.append(tuple([(j1 * oc + j2, a * b) for j1, a in r1 for j2, b in r2]))
-        return Matrix._sparse(self.field, tuple(out), self.cols * oc)
-
-    def _same_shape(self, other: "Matrix"):
-        if self.field != other.field:
-            raise MalformedInput("matrices over different fields")
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise MalformedInput(
-                f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.field == other.field and self.cols == other.cols and self.nz == other.nz
-
-    def __hash__(self):
-        return hash((self.field, self.cols, self.nz))
-
-    def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
-        return f"Matrix({self.rows}x{self.cols} over {self.field}: {body})"
-
-
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form with pivot columns (Gauss-Jordan, exact)."""
-    nz, pivots = _field_rows(m.field, _int_reduced(m.field.characteristic, _row_ints(m)))
-    return Matrix._sparse(m.field, nz + ((),) * (m.rows - len(nz)), m.cols), pivots
-
-
-def _row_ints(m: Matrix) -> list:
-    """The rows of m as {column: int} dicts, each row lifted on its own."""
-    if m.field.characteristic:
-        return [{j: x.value for j, x in row} for row in m.nz]
-    rows = []
-    for row in m.nz:
-        d = lcm(*[x.denominator for _, x in row])
-        rows.append({j: x.numerator * (d // x.denominator) for j, x in row})
-    return rows
-
-
 def _int_reduced(p: int, rows) -> dict:
     """{pivot column: row} of {column: int} rows in reduced echelon form.
 
@@ -624,16 +380,6 @@ def _int_reduced(p: int, rows) -> dict:
     return pivot_rows
 
 
-def _field_rows(field: FieldSpec, pivot_rows: dict) -> tuple:
-    """(nz, pivots): the rows of `_int_reduced` as field rows, each divided by its pivot entry."""
-    pivots = sorted(pivot_rows)
-    nz = []
-    for c in pivots:
-        cols, xs = zip(*sorted(pivot_rows[c].items()))
-        nz.append(tuple(zip(cols, ints_to_field(field, xs, pivot_rows[c][c]))))
-    return tuple(nz), tuple(pivots)
-
-
 def _int_quotient(p: int, ambient_dim: int, rows) -> tuple:
     """(pivot_rows, reps, proj, scale): k^ambient_dim modulo the span of {index: int} rows.
 
@@ -645,35 +391,287 @@ def _int_quotient(p: int, ambient_dim: int, rows) -> tuple:
     pivot_rows = _int_reduced(p, rows)
     reps = tuple([f for f in range(ambient_dim) if f not in pivot_rows])
     index = {f: i for i, f in enumerate(reps)}
-    scale = lcm(*[row[c] for c, row in pivot_rows.items()])
+    pivots, scaled, scale = _at_one_scale(pivot_rows)
+    at_scale = dict(zip(pivots, scaled))
     proj = tuple([{index[f]: scale} if f in index else
-                  {index[g]: -x * (scale // pivot_rows[f][f]) for g, x in pivot_rows[f].items() if g != f}
+                  {index[g]: -x for g, x in at_scale[f].items() if g != f}
                   for f in range(ambient_dim)])
     return pivot_rows, reps, proj, scale
+
+
+def _at_one_scale(pivot_rows: dict) -> tuple:
+    """(pivots, rows, scale): the rows of `_int_reduced` by pivot, each
+    multiplied so that its pivot entry is scale, the lcm of the pivot entries."""
+    pivots = sorted(pivot_rows)
+    scale = lcm(*[pivot_rows[c][c] for c in pivots])
+    rows = []
+    for c in pivots:
+        f = scale // pivot_rows[c][c]
+        rows.append({j: x * f for j, x in pivot_rows[c].items()})
+    return pivots, rows, scale
+
+
+def _int_kernel(p: int, rows, n: int) -> tuple:
+    """(vectors, scale): the canonical basis of the right kernel of the
+    {column: int} rows in n unknowns, one {index: int} vector per free column f,
+    scale at f and 0 at the other free columns."""
+    pivots, red, scale = _at_one_scale(_int_reduced(p, rows))
+    free = {}
+    for c, row in zip(pivots, red):
+        for f, x in row.items():
+            if f != c:
+                free.setdefault(f, {})[c] = -x
+    pivot_set = set(pivots)
+    return [{**free.get(f, {}), f: scale} for f in range(n) if f not in pivot_set], scale
+
+
+def _int_transpose(vectors, n: int) -> list:
+    """The n {index: int} vectors of the transpose of vectors, given as (index, int) pairs."""
+    out = [{} for _ in range(n)]
+    for i, v in enumerate(vectors):
+        for j, x in v:
+            out[j][i] = x
+    return out
+
+
+def _apply(cols, terms, rows: int) -> list:
+    """A matrix, given by its lifted columns (`Matrix.col_ints`) and its row
+    count, applied to the int vector with (index, int) pairs terms."""
+    out = [0] * rows
+    for j, u in terms:
+        if u:
+            for r, v in cols[j]:
+                out[r] += u * v
+    return out
+
+
+def _lift_vectors(field: FieldSpec, vectors) -> tuple:
+    """([{index: int}], scale): vectors of field scalars lifted at one scale,
+    ints coerced into the field and anything else malformed."""
+    checked = []
+    for v in vectors:
+        v = tuple([field.of(x) if isinstance(x, int) else x for x in v])
+        for x in v:
+            if not field.is_element(x):
+                raise MalformedInput(f"entry {x!r} is not an element of {field}")
+        checked.append(v)
+    ints, scale = lift_to_ints(field, tuple(checked))
+    return [{i: x for i, x in enumerate(v) if x} for v in ints], scale
+
+
+def _canonical(field: FieldSpec, cols, scale: int) -> tuple:
+    """The `Matrix.col_ints` form of the {row: int} columns cols / scale: over Q
+    the content shared with the scale divided out, over GF(p) residues at scale 1."""
+    p = field.characteristic
+    if p:
+        inv = 1 if scale % p == 1 else pow(scale, -1, p)
+        return tuple([tuple(sorted([(r, y) for r, x in col.items() if (y := x * inv % p)]))
+                      for col in cols]), 1
+    lifted = [sorted([(r, x) for r, x in col.items() if x]) for col in cols]
+    g = 1 if scale == 1 else gcd(scale, *[x for col in lifted for _, x in col])
+    if scale < 0:
+        g = -g
+    if g != 1:
+        lifted = [[(r, x // g) for r, x in col] for col in lifted]
+    return tuple(map(tuple, lifted)), scale // g
+
+
+class Matrix:
+    """Exact matrix over one field, stored as its lifted int columns.
+
+    The state is `col_ints()`: per column the (row, int) pairs of its
+    nonzeros, by row, and one scale; entry (r, c) is the int over the scale.
+    The form is canonical (over Q the content shared with the scale divided
+    out, over GF(p) residues at scale 1), so `==` and `hash` compare ints.
+    Field scalars are views: ``nz`` (the (column, value) pairs of each row,
+    kept once read), ``entries``, `col` and `col_nz`.
+    """
+
+    __slots__ = ("field", "rows", "cols", "_ints", "_nz")
+
+    def __init__(self, field: FieldSpec, entries, cols: int | None = None):
+        rows = [tuple(row) for row in entries]
+        if cols is None:
+            if not rows:
+                raise MalformedInput("column count needed for a matrix with no rows")
+            cols = len(rows[0])
+        if any(len(row) != cols for row in rows):
+            raise MalformedInput("ragged matrix rows")
+        lifted = _lift_vectors(field, zip(*rows) if rows else [()] * cols)
+        self._init(field, len(rows), *_canonical(field, *lifted))
+
+    def _init(self, field, rows, cols, scale):
+        for name, value in zip(Matrix.__slots__, (field, rows, len(cols), (cols, scale), None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, val):
+        raise AttributeError("Matrix is immutable")
+
+    @staticmethod
+    def from_int_cols(field: FieldSpec, cols, scale: int, rows: int) -> "Matrix":
+        """The matrix whose column c is the {row: int} dict cols[c] / scale; no
+        field scalar is made."""
+        m = object.__new__(Matrix)
+        m._init(field, rows, *_canonical(field, cols, scale))
+        return m
+
+    @staticmethod
+    def zeros(field: FieldSpec, rows: int, cols: int) -> "Matrix":
+        return Matrix.from_int_cols(field, [{}] * cols, 1, rows)
+
+    @staticmethod
+    def identity(field: FieldSpec, n: int) -> "Matrix":
+        return Matrix.from_int_cols(field, [{i: 1} for i in range(n)], 1, n)
+
+    @staticmethod
+    def from_cols(field: FieldSpec, cols_list, rows: int | None = None) -> "Matrix":
+        cols_list = [tuple(col) for col in cols_list]
+        if cols_list:
+            rows = len(cols_list[0])
+        elif rows is None:
+            raise MalformedInput("row count needed for a matrix with no columns")
+        if any(len(col) != rows for col in cols_list):
+            raise MalformedInput("ragged matrix columns")
+        return Matrix.from_int_cols(field, *_lift_vectors(field, cols_list), rows)
+
+    def col_ints(self) -> tuple:
+        """(cols, scale), the state: per column the (row, int) pairs of its nonzeros."""
+        return self._ints
+
+    def col_nz(self) -> tuple:
+        """Per column c, the (row, value) pairs of its nonzeros, by row."""
+        cols, scale = self._ints
+        values = iter(ints_to_field(self.field, tuple([x for col in cols for _, x in col]), scale))
+        return tuple([tuple([(r, next(values)) for r, _ in col]) for col in cols])
+
+    @property
+    def nz(self) -> tuple:
+        """Per row r, the (column, value) pairs of its nonzeros, by column; kept once read."""
+        if self._nz is None:
+            out = [[] for _ in range(self.rows)]
+            for c, col in enumerate(self.col_nz()):
+                for r, x in col:
+                    out[r].append((c, x))
+            object.__setattr__(self, "_nz", tuple(map(tuple, out)))
+        return self._nz
+
+    @property
+    def entries(self) -> tuple:
+        """The dense rows, rebuilt on every read."""
+        z = self.field.zero
+        out = []
+        for row in self.nz:
+            dense = [z] * self.cols
+            for j, x in row:
+                dense[j] = x
+            out.append(tuple(dense))
+        return tuple(out)
+
+    def col(self, j: int) -> tuple:
+        col, scale = self._ints[0][j], self._ints[1]
+        out = [self.field.zero] * self.rows
+        for (r, _), x in zip(col, ints_to_field(self.field, tuple([x for _, x in col]), scale)):
+            out[r] = x
+        return tuple(out)
+
+    def column_list(self) -> list[tuple]:
+        return [self.col(j) for j in range(self.cols)]
+
+    def apply(self, v) -> tuple:
+        if len(v) != self.cols:
+            raise MalformedInput(
+                f"vector of length {len(v)} fed to a {self.rows}x{self.cols} matrix"
+            )
+        xs, sx = lift_to_ints(self.field, tuple(map(self.field.of, v)))
+        cols, scale = self._ints
+        return ints_to_field(self.field, tuple(_apply(cols, enumerate(xs), self.rows)), scale * sx)
+
+    def mul(self, other: "Matrix") -> "Matrix":
+        if self.field != other.field:
+            raise MalformedInput("matrix product across different fields")
+        if self.cols != other.rows:
+            raise MalformedInput(
+                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
+            )
+        (cols, s), (ocols, so) = self._ints, other._ints
+        out = [dict(enumerate(_apply(cols, col, self.rows))) for col in ocols]
+        return Matrix.from_int_cols(self.field, out, s * so, self.rows)
+
+    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
+        self._same_shape(other)
+        (a, sa), (b, sb) = self._ints, other._ints
+        out = []
+        for ca, cb in zip(a, b):
+            col = {r: x * sb for r, x in ca}
+            for r, x in cb:
+                col[r] = col.get(r, 0) + sign * sa * x
+            out.append(col)
+        return Matrix.from_int_cols(self.field, out, sa * sb, self.rows)
+
+    def add(self, other: "Matrix") -> "Matrix":
+        return self._combine(other, 1)
+
+    def sub(self, other: "Matrix") -> "Matrix":
+        return self._combine(other, -1)
+
+    def scale(self, c) -> "Matrix":
+        (x,), sx = lift_to_ints(self.field, (self.field.of(c),))
+        cols, s = self._ints
+        return Matrix.from_int_cols(self.field, [{r: v * x for r, v in col} for col in cols], s * sx, self.rows)
+
+    def transpose(self) -> "Matrix":
+        cols, s = self._ints
+        return Matrix.from_int_cols(self.field, _int_transpose(cols, self.rows), s, self.cols)
+
+    def kron(self, other: "Matrix") -> "Matrix":
+        if self.field != other.field:
+            raise MalformedInput("kron across different fields")
+        (a, sa), (b, sb), orows = self._ints, other._ints, other.rows
+        out = [{r1 * orows + r2: x * y for r1, x in c1 for r2, y in c2} for c1 in a for c2 in b]
+        return Matrix.from_int_cols(self.field, out, sa * sb, self.rows * orows)
+
+    def _same_shape(self, other: "Matrix"):
+        if self.field != other.field:
+            raise MalformedInput("matrices over different fields")
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise MalformedInput(
+                f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
+            )
+
+    def __eq__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return self.field == other.field and self.rows == other.rows and self._ints == other._ints
+
+    def __hash__(self):
+        return hash((self.field, self.rows, self._ints))
+
+    def __repr__(self):
+        body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
+        return f"Matrix({self.rows}x{self.cols} over {self.field}: {body})"
+
+
+def _row_dicts(m: Matrix) -> list:
+    """The rows of m as {column: int} dicts, at the scale of `col_ints`."""
+    return _int_transpose(m.col_ints()[0], m.rows)
+
+
+def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form with pivot columns (Gauss-Jordan, exact)."""
+    pivots, rows, scale = _at_one_scale(_int_reduced(m.field.characteristic, _row_dicts(m)))
+    cols = _int_transpose([row.items() for row in rows], m.cols)
+    return Matrix.from_int_cols(m.field, cols, scale, m.rows), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
     return len(rref(m)[1])
 
 
-def _kernel_nz(m: Matrix) -> list[tuple]:
-    """The canonical kernel basis of `kernel_basis`, as nonzero (index, value) rows."""
-    red, pivots = rref(m)
-    one = m.field.one
-    free = {}
-    for r, c in enumerate(pivots):
-        for f, x in red.nz[r][1:]:
-            free.setdefault(f, []).append((c, -x))
-    pivot_set = set(pivots)
-    return [
-        tuple(free.get(f, ())) + ((f, one),) for f in range(m.cols) if f not in pivot_set
-    ]
-
-
 def kernel_basis(m: Matrix) -> list[tuple]:
     """Canonical basis of the right kernel, one vector per free column."""
-    dense = Matrix._sparse(m.field, tuple(_kernel_nz(m)), m.cols).entries
-    return list(dense)
+    vectors, scale = _int_kernel(m.field.characteristic, _row_dicts(m), m.cols)
+    dense = tuple([tuple([v.get(j, 0) for j in range(m.cols)]) for v in vectors])
+    return list(ints_to_field(m.field, dense, scale))
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix | None:
@@ -682,19 +680,17 @@ def solve(a: Matrix, b: Matrix) -> Matrix | None:
         raise MalformedInput("solve across different fields")
     if a.rows != b.rows:
         raise MalformedInput(f"a has {a.rows} rows but b has {b.rows}")
-    ac = a.cols
-    aug = Matrix._sparse(
-        a.field,
-        tuple([ra + tuple([(ac + j, x) for j, x in rb]) for ra, rb in zip(a.nz, b.nz)]),
-        ac + b.cols,
-    )
-    red, pivots = rref(aug)
+    (acols, sa), (bcols, sb), ac = a.col_ints(), b.col_ints(), a.cols
+    aug = [[(r, x * sb) for r, x in col] for col in acols] + [[(r, x * sa) for r, x in col] for col in bcols]
+    pivots, rows, scale = _at_one_scale(_int_reduced(a.field.characteristic, _int_transpose(aug, a.rows)))
     if pivots and pivots[-1] >= ac:
         return None
-    x = [()] * ac
-    for r, c in enumerate(pivots):
-        x[c] = tuple([(j - ac, v) for j, v in red.nz[r] if j >= ac])
-    return Matrix._sparse(a.field, tuple(x), b.cols)
+    x = [{} for _ in range(b.cols)]
+    for c, row in zip(pivots, rows):
+        for j, v in row.items():
+            if j >= ac:
+                x[j - ac][c] = v
+    return Matrix.from_int_cols(a.field, x, scale, ac)
 
 
 def solve_vec(a: Matrix, b) -> tuple | None:
@@ -714,14 +710,15 @@ def inverse(m: Matrix) -> Matrix | None:
 
 
 class Subspace:
-    """A subspace of k^n held as a canonical reduced-echelon row basis.
+    """A subspace of k^n held as its canonical reduced-echelon row basis, on ints.
 
-    ``nz`` holds the echelon rows as nonzero (index, value) pairs, like
-    `Matrix.nz`; ``basis`` is the same rows as dense vectors.  Two subspaces
-    are equal iff their echelon bases are identical.
+    The state is `ints()` with ``pivots``: the echelon rows as dense int rows
+    at one scale, each equal to the scale at its own pivot and 0 at the
+    others.  ``basis`` (kept once read) and ``nz`` are field views.  Two
+    subspaces are equal iff their echelon bases are identical.
     """
 
-    __slots__ = ("field", "ambient_dim", "nz", "pivots", "_basis", "_ints")
+    __slots__ = ("field", "ambient_dim", "pivots", "_ints", "_basis")
 
     def __init__(self, field: FieldSpec, ambient_dim: int, vectors=()):
         vectors = list(vectors)
@@ -730,67 +727,65 @@ class Subspace:
                 raise MalformedInput(
                     f"vector of length {len(v)} in ambient dimension {ambient_dim}"
                 )
-        rows = _row_ints(Matrix(field, vectors, cols=ambient_dim))
-        self._init(field, ambient_dim, _field_rows(field, _int_reduced(field.characteristic, rows)))
+        rows, _ = _lift_vectors(field, vectors)
+        self._init(field, ambient_dim, _int_reduced(field.characteristic, rows))
 
     @staticmethod
     def row_space(m: Matrix) -> "Subspace":
         """The span of the rows of m."""
-        return Subspace._reduced(m.field, m.cols, _int_reduced(m.field.characteristic, _row_ints(m)))
+        return Subspace._reduced(m.field, m.cols, _int_reduced(m.field.characteristic, _row_dicts(m)))
 
     @staticmethod
     def _reduced(field: FieldSpec, ambient_dim: int, pivot_rows: dict) -> "Subspace":
         """The span of rows that `_int_reduced` returned, taken as they are."""
         s = object.__new__(Subspace)
-        s._init(field, ambient_dim, _field_rows(field, pivot_rows))
+        s._init(field, ambient_dim, pivot_rows)
         return s
 
-    def _init(self, field, ambient_dim, echelon):
-        nz, pivots = echelon
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "nz", nz)
-        object.__setattr__(self, "pivots", pivots)
-        object.__setattr__(self, "_basis", None)
-        object.__setattr__(self, "_ints", None)
+    def _init(self, field, ambient_dim, pivot_rows):
+        pivots, rows, scale = _at_one_scale(pivot_rows)
+        dense = []
+        for row in rows:
+            out = [0] * ambient_dim
+            for j, x in row.items():
+                out[j] = x
+            dense.append(tuple(out))
+        for name, value in zip(Subspace.__slots__, (field, ambient_dim, tuple(pivots), (tuple(dense), scale), None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, val):
         raise AttributeError("Subspace is immutable")
 
     @property
     def basis(self) -> tuple:
+        """The echelon rows as field vectors, kept once read."""
         if self._basis is None:
-            dense = Matrix._sparse(self.field, self.nz, self.ambient_dim).entries
-            object.__setattr__(self, "_basis", dense)
+            object.__setattr__(self, "_basis", ints_to_field(self.field, *self._ints))
         return self._basis
 
     @property
+    def nz(self) -> tuple:
+        """The echelon rows as nonzero (index, value) pairs, like `Matrix.nz`."""
+        return tuple([tuple([(j, x) for j, x in enumerate(row) if x]) for row in self.basis])
+
+    @property
     def dim(self) -> int:
-        return len(self.nz)
+        return len(self.pivots)
 
     def coords_of(self, v) -> tuple | None:
         """Coordinates of v in the echelon basis, or None if v is outside."""
         if len(v) != self.ambient_dim:
             raise MalformedInput("vector length does not match ambient dimension")
-        residual = list(v)
-        coords = []
-        for row, p in zip(self.nz, self.pivots):
-            c = residual[p]
-            coords.append(c)
-            if c:
-                for j, x in row:
-                    residual[j] = residual[j] - c * x
-        if any(residual):
+        xs, sx = lift_to_ints(self.field, tuple(map(self.field.of, v)))
+        if not self.contains_ints(xs):
             return None
-        return tuple(coords)
+        return ints_to_field(self.field, tuple([xs[c] for c in self.pivots]), sx)
 
     def contains(self, v) -> bool:
         return self.coords_of(v) is not None
 
     def ints(self) -> tuple:
-        """(rows, scale): the echelon basis as dense rows lifted by `lift_to_ints`, kept."""
-        if self._ints is None:
-            object.__setattr__(self, "_ints", lift_to_ints(self.field, self.basis))
+        """(rows, scale), the state: the echelon basis as dense int rows at one scale."""
         return self._ints
 
     def contains_ints(self, x) -> bool:
@@ -799,7 +794,7 @@ class Subspace:
         x / s lies in the space iff scale * x minus x[pivot] times each lifted
         echelon row vanishes (each row is scale at its pivot, 0 at the others).
         """
-        rows, scale = self.ints()
+        rows, scale = self._ints
         res = [scale * v for v in x]
         for row, piv in zip(rows, self.pivots):
             c = x[piv]
@@ -812,7 +807,8 @@ class Subspace:
 
     def basis_matrix(self) -> Matrix:
         """Basis vectors as columns, shape ambient_dim x dim."""
-        return Matrix._sparse(self.field, self.nz, self.ambient_dim).transpose()
+        rows, scale = self._ints
+        return Matrix.from_int_cols(self.field, [dict(enumerate(row)) for row in rows], scale, self.ambient_dim)
 
     def _compatible(self, other: "Subspace"):
         if self.field != other.field:
@@ -828,44 +824,41 @@ class Subspace:
         return (
             self.field == other.field
             and self.ambient_dim == other.ambient_dim
-            and self.nz == other.nz
+            and self._ints == other._ints
         )
 
     def __hash__(self):
-        return hash((self.field, self.ambient_dim, self.nz))
+        return hash((self.field, self.ambient_dim, self._ints))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of k^{self.ambient_dim})"
 
 
 def column_space(m: Matrix) -> Subspace:
-    return Subspace.row_space(m.transpose())
+    cols = [dict(col) for col in m.col_ints()[0]]
+    return Subspace._reduced(m.field, m.rows, _int_reduced(m.field.characteristic, cols))
 
 
 def kernel_space(m: Matrix) -> Subspace:
-    return Subspace.row_space(Matrix._sparse(m.field, tuple(_kernel_nz(m)), m.cols))
+    p = m.field.characteristic
+    return Subspace._reduced(m.field, m.cols, _int_reduced(p, _int_kernel(p, _row_dicts(m), m.cols)[0]))
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
     """a cap b via the kernel of the stacked-basis system."""
     a._compatible(b)
-    field = a.field
+    p, n = a.field.characteristic, a.ambient_dim
     if a.dim == 0 or b.dim == 0:
-        return Subspace(field, a.ambient_dim)
-    neg = -field.one
-    stacked = Matrix._sparse(
-        field,
-        a.nz + tuple([tuple([(j, neg * x) for j, x in row]) for row in b.nz]),
-        a.ambient_dim,
-    ).transpose()
-    vectors = []
-    for kv in _kernel_nz(stacked):
-        w = {}
-        for i, c in kv:
-            if i >= a.dim:
-                break
-            for j, x in a.nz[i]:
-                w[j] = w[j] + c * x if j in w else c * x
-        vectors.append(w)
-    return Subspace.row_space(Matrix._from_dicts(field, vectors, a.ambient_dim))
-
+        return Subspace(a.field, n)
+    arows, brows = a.ints()[0], b.ints()[0]
+    # per coordinate j, the coefficients of the a-rows and of minus the b-rows
+    system = [{} for _ in range(n)]
+    for off, rows, sign in ((0, arows, 1), (a.dim, brows, -1)):
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                if x:
+                    system[j][off + i] = sign * x
+    acols = [[(j, x) for j, x in enumerate(row) if x] for row in arows]
+    vectors = [dict(enumerate(_apply(acols, [(i, c) for i, c in kv.items() if i < a.dim], n)))
+               for kv in _int_kernel(p, system, a.dim + b.dim)[0]]
+    return Subspace._reduced(a.field, n, _int_reduced(p, vectors))

@@ -11,6 +11,7 @@ carry primary structure constants only and everything else is recomputed.
 from __future__ import annotations
 
 import json
+from math import lcm
 
 from .errors import MalformedInput
 from .exactla import FieldSpec, Matrix, parse_field_name
@@ -44,7 +45,8 @@ def _field_name(field: FieldSpec) -> str:
     return str(field)
 
 
-def _parse_scalar_grid(field, grid, shape, path):
+def _parse_scalar_grid(parse, grid, shape, path):
+    """The rows of a scalar grid, each entry through parse (`FieldSpec.parse` or `parse_ints`)."""
     if not isinstance(grid, list):
         raise MalformedInput(f"{path}: expected a list of {shape[0]} rows")
     if len(grid) != shape[0]:
@@ -53,15 +55,20 @@ def _parse_scalar_grid(field, grid, shape, path):
     for i, row in enumerate(grid):
         if not isinstance(row, list) or len(row) != shape[1]:
             raise MalformedInput(f"{path}[{i}]: expected {shape[1]} entries")
-        rows.append(tuple([field.parse(x) for x in row]))
+        rows.append(tuple([parse(x) for x in row]))
     return rows
 
 
 def _parse_matrix(field, grid, shape, path) -> Matrix:
-    """The matrix of a scalar grid; `FieldSpec.parse` made its entries, so they are not re-checked."""
-    rows = _parse_scalar_grid(field, grid, shape, path)
-    nz = tuple([tuple([(j, x) for j, x in enumerate(row) if x]) for row in rows])
-    return Matrix._sparse(field, nz, shape[1])
+    """The matrix of a scalar grid, parsed straight to int columns at one scale."""
+    rows = _parse_scalar_grid(field.parse_ints, grid, shape, path)
+    scale = lcm(*{den for row in rows for _, den in row})
+    cols = [{} for _ in range(shape[1])]
+    for i, row in enumerate(rows):
+        for col, (num, den) in zip(cols, row):
+            if num:
+                col[i] = num * (scale // den)
+    return Matrix.from_int_cols(field, cols, scale, shape[0])
 
 
 def _parse_scalar_vector(field, vec, length, path):
@@ -77,7 +84,7 @@ def _parse_tensor(field, tensor, n, path):
     for i, sl in enumerate(tensor):
         if not isinstance(sl, list):
             raise MalformedInput(f"{path}[{i}]: expected a list")
-        out.append(_parse_scalar_grid(field, sl, (n, n), f"{path}[{i}]"))
+        out.append(_parse_scalar_grid(field.parse, sl, (n, n), f"{path}[{i}]"))
     return out
 
 

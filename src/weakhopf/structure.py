@@ -167,17 +167,6 @@ def _comul(dnz, x) -> list:
     return out
 
 
-def _apply(cols, terms, rows: int) -> list:
-    """A matrix, given by its lifted columns (`Matrix.col_ints`) and its row
-    count, applied to the int vector with (index, int) pairs terms."""
-    out = [0] * rows
-    for j, u in terms:
-        if u:
-            for r, v in cols[j]:
-                out[r] += u * v
-    return out
-
-
 def _lift(field: FieldSpec, x, n: int, what: str) -> tuple:
     """`lift_to_ints` of the vector x, after checking its length against the
     dimension n and coercing ints into the field (anything else is malformed)."""

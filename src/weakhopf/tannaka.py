@@ -27,7 +27,7 @@ from .errors import (
     Verdict,
     Violation,
 )
-from .exactla import Matrix, ints_differ, ints_to_field, inverse
+from .exactla import Matrix, _apply, ints_differ, ints_to_field, inverse
 from .comod import (
     Comodule,
     ComoduleMap,
@@ -36,7 +36,7 @@ from .comod import (
     coaction_verdict,
     tensor_over_source,
 )
-from .structure import _apply, _comul, _dict_violation, _mul, _sides_differ, law_violations
+from .structure import _comul, _dict_violation, _mul, _sides_differ, law_violations
 from .weakbia import WeakBialgebra, _dense
 
 RECONSTRUCTION_LAYERS = (

@@ -30,6 +30,7 @@ from .exactla import (
     FieldSpec,
     Matrix,
     Subspace,
+    _apply,
     column_space,
     ints_differ,
     ints_rank,
@@ -42,7 +43,6 @@ from .exactla import (
 from .structure import (
     FiniteAlgebra,
     FiniteCoalgebra,
-    _apply,
     _comul,
     _mul,
     check_algebra,

@@ -16,6 +16,11 @@ from weakhopf.errors import InternalInconsistency, Verdict, Violation
 from weakhopf.exactla import Matrix, vec_unit, vec_zero
 
 
+def _dict_matrix(field, rows, cols: int):
+    """The matrix whose rows are the {column: value} dicts rows (absent entries zero)."""
+    return Matrix(field, [[row.get(j, field.zero) for j in range(cols)] for row in rows], cols=cols)
+
+
 def _combine_rows(field, coeffs, rows) -> tuple:
     out = [field.zero] * len(rows)
     for coef, row in zip(coeffs, rows):
@@ -151,8 +156,8 @@ def actions(h, c):
                     lm[a][b] = lm[a].get(b, z) + coef * y_left[j]
                 if y_right[j]:
                     rm[a][b] = rm[a].get(b, z) + coef * y_right[j]
-        left.append(Matrix._from_dicts(h.field, lm, dim))
-        right.append(Matrix._from_dicts(h.field, rm, dim))
+        left.append(_dict_matrix(h.field, lm, dim))
+        right.append(_dict_matrix(h.field, rm, dim))
     return tuple(left), tuple(right)
 
 
@@ -243,7 +248,7 @@ def tensor_data(left, right):
         tuple(reps),
         Matrix(field, projection.entries, cols=amb),
         Matrix(field, section.entries, cols=t),
-        Matrix._from_dicts(field, rows, t),
+        _dict_matrix(field, rows, t),
     )
 
 
@@ -320,7 +325,7 @@ def unit_coaction(h):
             for c, coef in enumerate(coords):
                 if coef:
                     rows[c * n + k][r] = coef
-    return Matrix._from_dicts(field, rows, hs.dim)
+    return _dict_matrix(field, rows, hs.dim)
 
 
 def induced_coaction(phi, m, target):
@@ -332,7 +337,7 @@ def induced_coaction(phi, m, target):
         for (a, j), c in terms:
             for k, p in cols[j]:
                 rows[a * nk + k][i] = rows[a * nk + k].get(i, z) + c * p
-    return Matrix._from_dicts(target.field, rows, m.dim)
+    return _dict_matrix(target.field, rows, m.dim)
 
 
 def algebra_map_violations(phi, source, target):
@@ -406,7 +411,7 @@ def coalgebra_layer_phi(rho_reg, h, k):
             a, kk = divmod(idx, nk)
             if h.counit[a]:
                 rows[kk][i] = rows[kk].get(i, z) + h.counit[a] * c
-    return Matrix._from_dicts(h.field, rows, n)
+    return _dict_matrix(h.field, rows, n)
 
 
 def remark32_violations(phi, rho_reg, h, k):

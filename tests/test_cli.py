@@ -189,6 +189,21 @@ def test_hostile_fields_and_scalars_exit_in_bounded_time(capsys, tmp_path, field
         assert "error [malformed]" in out
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [("unit", ["1\n", "0"]), ("unit", ["\u0661", "0"]), ("field", "GF(\u0663)")],
+    ids=["unit-trailing-newline", "unit-arabic-indic-one", "field-arabic-indic-three"],
+)
+def test_non_ascii_digits_and_trailing_newlines_exit_two(capsys, tmp_path, key, value):
+    doc = json.loads(golden("c2.wba.json"))
+    doc[key] = value
+    path = tmp_path / "c2.wba.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run(capsys, ["check", str(path)])
+    assert code == 2
+    assert "error [malformed]" in out
+
+
 def test_round_trip_parse_emit(in_golden_dir, capsys, tmp_path):
     # emit . parse is the identity on canonical documents
     from weakhopf.serialize import emit, parse_text, wba_from_document, document_from_wba

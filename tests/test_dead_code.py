@@ -1,11 +1,14 @@
-"""No private module-level function or class of the package lingers unused.
+"""No private function, class, method or slot of the package lingers unused.
 
 A module-level `def` or `class` in `src/weakhopf` whose name starts with `_`
 is internal, so something else in `src/` must refer to it: a name, an
-attribute or an import anywhere outside its own definition.  Tests do not
+attribute or an import anywhere outside its own definition.  The same holds
+for a private method of a class (dunders aside).  A private `__slots__`
+entry must be read as an attribute somewhere in `src/`, so state that is
+only ever written (a stale cache of an older form) is flagged.  Tests do not
 count, so a retired kernel kept only as a test reference is flagged until it
-moves to `tests/`.  Each such name is also defined in one module only, so a
-kernel has one home.
+moves to `tests/`.  Each private module-level name is also defined in one
+module only, so a kernel has one home.
 """
 
 import ast
@@ -40,20 +43,62 @@ def _references(node):
             yield sub.name, sub
 
 
+def _private_methods(modules):
+    """(module, node) for every private method, dunders aside, of a module-level class."""
+    return [
+        (name, node)
+        for name, tree in modules.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, DEFS) and node.name.startswith("_") and not node.name.endswith("__")
+    ]
+
+
+def _private_slots(modules):
+    """(module, line, name) for every private entry of a class's literal `__slots__`."""
+    out = []
+    for name, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
+            ):
+                for elt in getattr(node.value, "elts", ()):
+                    if isinstance(elt, ast.Constant) and elt.value.startswith("_"):
+                        out.append((name, node.lineno, elt.value))
+    return out
+
+
 def _unused(modules):
     """`module:line name` of each private definition referenced nowhere else."""
     refs = [ref for tree in modules.values() for ref in _references(tree)]
     out = []
-    for module, node in _private_defs(modules):
+    for module, node in _private_defs(modules) + _private_methods(modules):
         own = {id(sub) for sub in ast.walk(node)}
         if not any(name == node.name and id(sub) not in own for name, sub in refs):
             out.append(f"{module}:{node.lineno} {node.name}")
     return out
 
 
+def _unread_slots(modules):
+    """`module:line name` of each private slot never read as an attribute."""
+    read = {
+        sub.attr
+        for tree in modules.values()
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+    return [f"{module}:{line} {name}" for module, line, name in _private_slots(modules) if name not in read]
+
+
 def test_private_definitions_are_referenced():
     unused = _unused(_modules())
     assert not unused, "private definitions referenced nowhere else in src/: " + ", ".join(unused)
+
+
+def test_private_slots_are_read():
+    unread = _unread_slots(_modules())
+    assert not unread, "private slots never read as an attribute in src/: " + ", ".join(unread)
 
 
 def test_private_definitions_have_one_home():
@@ -66,3 +111,20 @@ def test_private_definitions_have_one_home():
 def test_guard_flags_a_helper_only_its_own_body_calls():
     source = "def _kept():\n    return _kept()\n\n\nclass _Used:\n    pass\n\n\nx = _Used()\n"
     assert _unused({"m.py": ast.parse(source)}) == ["m.py:1 _kept"]
+
+
+def test_guard_flags_a_method_only_its_own_body_calls_and_an_unread_slot():
+    source = (
+        "class C:\n"
+        "    __slots__ = ('x', '_kept', '_stale')\n"
+        "    def _loop(self):\n"
+        "        return self._loop()\n"
+        "    def _used(self):\n"
+        "        return self._kept\n"
+        "    def __repr__(self):\n"
+        "        object.__setattr__(self, '_stale', 1)\n"
+        "        return self._used()\n"
+    )
+    tree = {"m.py": ast.parse(source)}
+    assert _unused(tree) == ["m.py:3 _loop"]
+    assert _unread_slots(tree) == ["m.py:2 _stale"]

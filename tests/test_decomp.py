@@ -146,6 +146,15 @@ def test_decompose_order_independence(c2, gpd2):
     assert tensors1 == tensors2
 
 
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
+def test_zero_weak_bialgebra_is_the_empty_sum(field):
+    # direct_sum rejects zero-dimensional summands, so the zero algebra has no block
+    h = build_weak_bialgebra(FiniteAlgebra(field, [], [], []), FiniteCoalgebra(field, [], [], []))
+    report = decompose(h)
+    assert (report.block_count, report.blocks, report.block_idempotents, report.certificates) == (0, (), (), ())
+    assert is_indecomposable(h) == "no"
+
+
 def test_is_indecomposable_sum(sum_wba):
     assert is_indecomposable(sum_wba) == "no"
 

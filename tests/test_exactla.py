@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import weakhopf.exactla as exactla
+from dense_matrix import DenseMatrix
 from weakhopf.errors import MalformedInput
 from weakhopf.exactla import (
     GF,
@@ -15,16 +17,17 @@ from weakhopf.exactla import (
     Subspace,
     _int_quotient,
     _is_prime,
-    _row_ints,
     intersect,
     ints_to_field,
     inverse,
     kernel_basis,
+    lift_to_ints,
     parse_field_name,
     rank,
     rref,
     solve,
     solve_vec,
+    vec_unit,
 )
 
 
@@ -127,13 +130,15 @@ def quotient_basis(ambient_dim, relators):
     """(reps, projection, section) of k^ambient_dim modulo the relators, the
     field matrices of `_int_quotient` as `TensorComodule` reads them."""
     field = relators.field
-    rows = _row_ints(Matrix(field, relators.basis, cols=ambient_dim))
+    rows = [dict(enumerate(row)) for row in relators.ints()[0]]
     pivot_rows, reps, proj, scale = _int_quotient(field.characteristic, ambient_dim, rows)
-    assert Subspace._reduced(field, ambient_dim, pivot_rows) == relators
-    sect = [()] * ambient_dim
-    for i, f in enumerate(reps):
-        sect[f] = ((i, field.one),)
-    return reps, Matrix.from_int_cols(field, proj, scale, len(reps)), Matrix._sparse(field, tuple(sect), len(reps))
+    # the reduced rows, each over its pivot entry, are the echelon basis of the relators
+    pivots = tuple(sorted(pivot_rows))
+    reduced = [ints_to_field(field, tuple([pivot_rows[c].get(j, 0) for j in range(ambient_dim)]), pivot_rows[c][c])
+               for c in pivots]
+    assert (pivots, tuple(reduced)) == (relators.pivots, relators.basis)
+    sect = Matrix.from_cols(field, [vec_unit(field, ambient_dim, f) for f in reps], rows=ambient_dim)
+    return reps, Matrix.from_int_cols(field, proj, scale, len(reps)), sect
 
 
 def test_quotient_trivial_relators():
@@ -321,3 +326,85 @@ def test_int_results_over_a_prime_field_divide_by_the_scale():
     assert m.col_ints() == ((((0, 2), (1, 3)), ((1, 4),)), 1)
     # the scale is a unit: two lifts of one matrix give one matrix
     assert Matrix.from_int_cols(f, [{0: 2}], 4, 1) == Matrix.from_int_cols(f, [{0: 1}], 2, 1)
+
+
+@pytest.mark.parametrize("text", ["1\n", "1/2\n", "\u0661", "1/\u0662", "\uff11", " 1", "+1", "1_0", ""])
+def test_scalar_grammar_is_ascii_digits_and_the_whole_string(text):
+    for field in (QQ, GF(5)):
+        with pytest.raises(MalformedInput):
+            field.parse(text)
+        with pytest.raises(MalformedInput):
+            field.parse_ints(text)
+
+
+def test_field_name_grammar_is_ascii_digits_and_the_whole_string():
+    for name in ("GF(\u0663)", "GF(3)\n", "GF(\uff13)", "Q\n", "GF(+3)"):
+        with pytest.raises(MalformedInput):
+            parse_field_name(name)
+    assert parse_field_name("GF(3)") == GF(3)
+
+
+def test_parse_ints_keeps_the_written_representative():
+    assert QQ.parse_ints("2/4") == (2, 4) and QQ.parse("2/4") == Fraction(1, 2)
+    assert QQ.parse_ints("-3") == (-3, 1)
+    assert GF(5).parse_ints("7") == (7, 1) and GF(5).parse("7") == Mod(2, 5)
+    assert GF(5).parse_ints("-1") == (-1, 1) and GF(5).parse("-1") == Mod(4, 5)
+
+
+def _scalar(rng, field):
+    if rng.random() < 0.4:
+        return field.zero
+    if field == QQ:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return field.of(rng.randrange(field.characteristic))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(1009)], ids=str)
+def test_every_constructor_gives_one_int_state(field):
+    """Matrix(entries), from_cols, from_int_cols at a scale k times too large
+    (entries shifted by multiples of p over GF(p)) and two kernel results are
+    one matrix: equal, hashed alike, with the same ints and the dense repr."""
+    rng = random.Random(f"one-int-state:{field}")
+    p = field.characteristic
+    for _ in range(80):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+        entries = [[_scalar(rng, field) for _ in range(cols)] for _ in range(rows)]
+        m = Matrix(field, entries, cols=cols)
+        ints, scale = m.col_ints()
+        k = rng.choice((2, 3, 4, 6, 7))
+        blown_up = [{r: k * x + p * rng.randint(-3, 3) for r, x in col} for col in ints]
+        same = [
+            Matrix.from_cols(field, [tuple(row[j] for row in entries) for j in range(cols)], rows=rows),
+            Matrix.from_int_cols(field, blown_up, k * scale, rows),
+            Matrix.identity(field, rows).mul(m),
+            solve(Matrix.identity(field, rows), m),
+        ]
+        for other in same:
+            assert other == m and hash(other) == hash(m)
+            assert other.col_ints() == (ints, scale)
+            assert repr(other) == repr(m) == repr(DenseMatrix(field, entries, cols))
+        assert scale > 0 and (p == 0 or scale == 1)
+        space = Subspace(field, cols, entries)
+        assert space.ints() == lift_to_ints(field, space.basis)
+
+
+def test_int_state_makes_no_field_scalar(monkeypatch):
+    """from_int_cols, col_ints(), == and hash read and write ints only."""
+    calls = []
+    monkeypatch.setattr(exactla, "ints_to_field", lambda *args: calls.append(args))
+    for field, cols, scale in ((QQ, [{0: 2, 1: 4}, {1: -6}], 4), (GF(5), [{0: 7, 1: 4}, {1: 3}], 3)):
+        a = Matrix.from_int_cols(field, cols, scale, 2)
+        b = Matrix.from_int_cols(field, [{r: 3 * x for r, x in col.items()} for col in cols], 3 * scale, 2)
+        assert a.col_ints() == b.col_ints()
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert Matrix.from_int_cols(QQ, [{0: 2, 1: 4}, {1: -6}], 4, 2).col_ints() == ((((0, 1), (1, 2)), ((1, -3),)), 2)
+    assert calls == []
+
+
+def test_ragged_input_is_malformed():
+    with pytest.raises(MalformedInput, match="ragged"):
+        Matrix(QQ, [[1, 2], [3]])
+    with pytest.raises(MalformedInput, match="ragged"):
+        Matrix.from_cols(QQ, [(1, 2), (3,)])
+    with pytest.raises(MalformedInput):
+        Matrix.from_cols(QQ, [(Mod(1, 5),)])
