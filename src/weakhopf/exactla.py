@@ -204,6 +204,8 @@ class FieldSpec:
         """
         if not isinstance(s, str):
             raise MalformedInput(f"scalar must be a string, got {s!r}")
+        if s == "0":  # the commonest scalar, in both grammars
+            return 0, 1
         if self.kind == "rationals":
             if not _RAT_RE.fullmatch(s):
                 raise MalformedInput(f"bad rational scalar {s!r}")

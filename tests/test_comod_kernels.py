@@ -53,6 +53,7 @@ from weakhopf.tannaka import (
     induced_functor,
     map_verdict,
     reconstruct_coalgebra_map,
+    reconstruct_weak_bialgebra_map,
 )
 from weakhopf.weakbia import WeakBialgebra, build_weak_bialgebra
 
@@ -291,9 +292,8 @@ def _phi_s_or_escape(phi, h, k):
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
 def test_target_tensor_product_is_the_source_quotient(field):
     """M^phi(a) (x)_{K_s} M^phi(b), built and verified over the target, is the quotient
-    of a (x)_{H_s} b with (id (x) phi) of its coaction, for every map and comodule pair,
-    and the comonoidal layer passes on each; the comodules `induced_functor`
-    attaches unverified satisfy the axioms."""
+    of a (x)_{H_s} b with (id (x) phi) of its coaction, for every map and comodule pair;
+    the comodules `induced_functor` attaches unverified satisfy the axioms."""
     for phi, h, k in _maps(field):
         bmap = WeakBialgebraMap(h, k, phi)
         comods = comodules(h)
@@ -303,13 +303,40 @@ def test_target_tensor_product_is_the_source_quotient(field):
         for m, m_k in zip(comods, induced):
             for m2, m2_k in zip(comods, induced):
                 t_h = tensor_over_source(m, m2)
-                assert comonoidal_structure(bmap, t_h).ok
                 t_k = tensor_over_source(m_k, m2_k)
                 assert t_k.reps == t_h.reps
                 assert t_k.projection_ints() == t_h.projection_ints()
                 _same(t_k.coaction, induced_coaction(phi, t_h, k))
                 t_phi = induced_functor(bmap, t_h)
                 assert coaction_verdict(k, t_phi.dim, t_phi.coaction).ok
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_decided_comonoidal_layer_agrees_with_the_computed_one(field):
+    """Reconstruction decides the comonoidal layer from the earlier ones (README
+    proposition (c)); on every map of the corpus, with products among the table's
+    comodules, it passes, and so does the law computed on every pair.  The map it
+    returns is checked only for phi(H_t) in K_t, which agrees with `map_verdict`."""
+    rng = random.Random(f"decided:{field}")
+    escaped = False
+    for phi, h, k in _maps(field):
+        bmap = WeakBialgebraMap(h, k, phi)
+        comods = comodules(h)
+        rec = reconstruct_weak_bialgebra_map(functor_from_map(bmap, comods))
+        assert rec.ok and rec.layer("comonoidal-structure") == Verdict(())
+        assert rec.bialgebra_map.matrix == phi and rec.bialgebra_map.source is h
+        for a in comods:
+            for b in comods:
+                assert comonoidal_structure(bmap, tensor_over_source(a, b)).ok
+        for bad in _bumped(phi, rng, 3):
+            want = [v for v in map_verdict(bad, h, k).violations if v.law == "phi(H_t) in K_t"]
+            try:
+                WeakBialgebraMap._decided(h, k, bad)
+                assert want == []
+            except AxiomViolation as exc:
+                assert repr(exc.verdict.violations) == repr(tuple(want)) and want
+                escaped = True
+    assert escaped
 
 
 def _ref_coalgebra_layers(fd):

@@ -8,7 +8,8 @@ entry must be read as an attribute somewhere in `src/`, so state that is
 only ever written (a stale cache of an older form) is flagged.  Tests do not
 count, so a retired kernel kept only as a test reference is flagged until it
 moves to `tests/`.  Each private module-level name is also defined in one
-module only, so a kernel has one home.
+module only, so a kernel has one home.  A module refers to every name it
+imports; the re-exports of `__init__.py` are its purpose and are exempt.
 """
 
 import ast
@@ -91,6 +92,22 @@ def _unread_slots(modules):
     return [f"{module}:{line} {name}" for module, line, name in _private_slots(modules) if name not in read]
 
 
+def _unused_imports(modules):
+    """`module:line name` of each name a module imports and never refers to."""
+    out = []
+    for module, tree in modules.items():
+        if module == "__init__.py":
+            continue
+        used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        out.append(f"{module}:{node.lineno} {bound}")
+    return out
+
+
 def test_private_definitions_are_referenced():
     unused = _unused(_modules())
     assert not unused, "private definitions referenced nowhere else in src/: " + ", ".join(unused)
@@ -99,6 +116,11 @@ def test_private_definitions_are_referenced():
 def test_private_slots_are_read():
     unread = _unread_slots(_modules())
     assert not unread, "private slots never read as an attribute in src/: " + ", ".join(unread)
+
+
+def test_imports_are_referenced():
+    unused = _unused_imports(_modules())
+    assert not unused, "names imported and never referred to in their module: " + ", ".join(unused)
 
 
 def test_private_definitions_have_one_home():
@@ -128,3 +150,15 @@ def test_guard_flags_a_method_only_its_own_body_calls_and_an_unread_slot():
     tree = {"m.py": ast.parse(source)}
     assert _unused(tree) == ["m.py:3 _loop"]
     assert _unread_slots(tree) == ["m.py:2 _stale"]
+
+
+def test_guard_flags_an_import_its_module_never_refers_to():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from .m import a, b as c, d\n"
+        "def f(x: a) -> None:\n"
+        "    return os.sep, d\n"
+    )
+    tree = ast.parse(source)
+    assert _unused_imports({"m.py": tree, "__init__.py": tree}) == ["m.py:3 c"]

@@ -15,10 +15,11 @@ from weakhopf.comod import (
     tensor_over_source,
     unit_comodule,
 )
-from weakhopf.fixtures import enumerate_automorphisms, preset
+from weakhopf.fixtures import cyclic_group_table, enumerate_automorphisms, group_algebra, preset
 from weakhopf.tannaka import (
     FunctorData,
     WeakBialgebraMap,
+    _phi_s_matrix,
     check_isomorphism,
     check_map,
     comonoidal_structure,
@@ -120,9 +121,22 @@ def test_perturbed_target_coaction_breaks_the_comodule_map_law(gpd2, monkeypatch
     monkeypatch.setattr(tannaka, "_quotient_coaction", doubled)
     verdict = comonoidal_structure(swap, t)
     assert [(v.law, v.witness) for v in verdict.violations] == [("comodule map law", (t.dim - 1,))]
-    rec = reconstruct_weak_bialgebra_map(functor_from_map(swap, standard_comodules(gpd2)))
-    assert rec.first_failing_layer() == "comonoidal-structure" and rec.bialgebra_map is None
-    assert {v.law for v in rec.layer("comonoidal-structure").violations} == {"iota not a comodule map"}
+
+
+def test_non_multiplicative_coalgebra_map_is_caught_by_the_algebra_layer():
+    """The comonoidal layer is decided from the earlier ones, so a table whose phi
+    breaks multiplicativity (g^0, g^1, g^2 -> g^0, g^1, g^1 on C3: unital and a
+    coalgebra map, but g . g -> g^1 != g^2) must fail first at `algebra-map`."""
+    c3 = group_algebra(*cyclic_group_table(3), QQ)
+    phi = Matrix(QQ, [[1, 0, 0], [0, 1, 1], [0, 0, 0]])
+    reg, un = regular_comodule(c3), unit_comodule(c3)
+    comods = [reg, un, tensor_over_source(reg, un)]
+    fd = FunctorData(c3, c3, [(m, induced_coaction(phi, m, c3)) for m in comods], _phi_s_matrix(phi, c3, c3))
+    rec = reconstruct_weak_bialgebra_map(fd)
+    assert rec.first_failing_layer() == "algebra-map" and rec.bialgebra_map is None
+    assert [name for name, v in rec.layers if not v.ok] == ["algebra-map", "comonoidal-structure"]
+    assert {v.law for v in rec.layer("algebra-map").violations} == {"not multiplicative"}
+    assert [v.law for v in rec.layer("comonoidal-structure").violations] == ["skipped: earlier layer failed"]
 
 
 def test_forged_map_breaking_the_counit_raises(gpd2):
@@ -139,27 +153,29 @@ def test_forged_map_breaking_the_counit_raises(gpd2):
     assert forged._eps_pairs_agree is False
 
 
-def test_reconstruct_builds_one_tensor_product_per_pair(monkeypatch):
-    """Reconstructing swap_functor.json builds one tensor product over H_s per pair
-    of comodules, the one its comodule names ask for included, and verifies no
-    comodule over the target."""
+def test_reconstruct_builds_no_tensor_product_or_comodule(monkeypatch):
+    """Reading swap_functor.json builds the one tensor product over H_s its comodule
+    names ask for, and verifies comodules over the source only; reconstructing it
+    then builds no tensor product and verifies no comodule."""
     golden = pathlib.Path(__file__).parent / "golden"
     h, _ = serialize.wba_from_document(serialize.parse_text((golden / "gpd2.wba.json").read_text()))
     k, _ = serialize.wba_from_document(serialize.parse_text((golden / "gpd2.wba.json").read_text()))
     doc = serialize.parse_text((golden / "swap_functor.json").read_text())
     tensors, verified = [], []
     real_tensor, real_init = comod.tensor_over_source, comod.Comodule.__init__
-    for mod in (comod, serialize, tannaka):
+    for mod in (comod, serialize):  # a product built any other way still runs Comodule.__init__
         monkeypatch.setattr(mod, "tensor_over_source", lambda a, b: tensors.append(a.over) or real_tensor(a, b))
     monkeypatch.setattr(comod.Comodule, "__init__",
                         lambda self, over, dim, rho: verified.append(over) or real_init(self, over, dim, rho))
     fd = serialize.functor_from_document(doc, h, {}, k)
     named = sum([a["comodule"].count("*") for a in doc["assignments"]])
     assert len(tensors) == named == 1
+    assert verified and all(over is h for over in verified + tensors)
+    read = len(verified)
     res = reconstruct_weak_bialgebra_map(fd)
     assert res.ok
-    assert len(tensors) == len(fd.assignments) ** 2
-    assert verified and all(over is h for over in verified + tensors)
+    assert len(tensors) == named == 1
+    assert len(verified) == read
 
 
 def test_comonoidal_structure_unit_inclusion(k, c2):
